@@ -146,23 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the sweep engine's post-run invariant audit "
         "(enabled by default; violating results become job failures)",
     )
-    pool_group = parser.add_mutually_exclusive_group()
-    pool_group.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=None,
-        help="run parallel sweeps on the persistent warm-worker pool "
-        "(the default; amortises process spawn and keeps worker caches "
-        "warm across jobs)",
-    )
-    pool_group.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="launch one fresh process per job attempt instead of using "
-        "the warm-worker pool (maximum isolation, slower)",
-    )
     parser.add_argument(
         "--pool-batch",
         type=int,
@@ -190,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--exec-plan",
-        choices=("auto", "grid", "pool", "serial"),
+        choices=("auto", "pool", "serial"),
         default=None,
         help="campaign execution planner: 'auto' (the default) grids "
-        "same-family cache misses through the 2-D megabatch kernel and "
-        "keeps small vectorized campaigns in-process, 'grid'/'pool'/"
-        "'serial' force one lane (also $REPRO_SWEEP_PLAN); results are "
-        "bit-identical in every plan",
+        "every eligible machine family's cache misses through the "
+        "in-process array kernel and sends the rest to the warm-worker "
+        "pool or the serial loop, 'pool'/'serial' force one lane (also "
+        "$REPRO_SWEEP_PLAN); results are bit-identical in every plan",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -1186,7 +1169,6 @@ def main(argv: list[str] | None = None) -> int:
         on_error=args.on_error,
         resume=True if args.resume else None,
         audit=False if args.no_audit else None,
-        pool=args.pool,
         pool_batch=args.pool_batch,
         vectorize=args.vectorize,
         exec_plan=args.exec_plan,

@@ -14,15 +14,16 @@ harness):
    with an in-memory LRU tier and
    an optional on-disk JSON tier (via :mod:`repro.serialization`), so
    repeated benchmark runs are near-instant;
-2. a **sweep runner** -- :class:`SweepRunner` fans ``(simulator,
-   model)`` jobs out over worker processes with deterministic result
-   ordering, graceful fallback to serial execution when
+2. a **sweep runner** -- :class:`SweepRunner` evaluates ``(simulator,
+   model)`` jobs through the in-process array kernel where it can and
+   fans the rest out over a warm worker pool, with deterministic
+   result ordering, graceful fallback to serial execution when
    ``max_workers == 1`` or worker processes cannot be used, and
    per-job wall-clock statistics.
 
-The runner is *fault tolerant*: every job attempt runs in its own
-worker process, so a crashing, raising or hanging job can never
-poison its siblings.  Failures are retried with exponential backoff
+The runner is *fault tolerant*: pooled jobs run in isolated worker
+processes, so a crashing, raising or hanging job can never poison its
+siblings.  Failures are retried with exponential backoff
 up to a configurable bound, optionally time-limited per attempt, and
 surfaced as structured :class:`JobFailure` records; ``on_error="skip"``
 returns the surviving results (``None`` in failed slots) instead of
@@ -43,10 +44,7 @@ import dataclasses
 import hashlib
 import json
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
 import random
 import threading
 import time
@@ -93,7 +91,6 @@ __all__ = [
     "configure",
     "default_budget",
     "default_exec_plan",
-    "default_pool",
     "default_vectorize",
     "default_workers",
     "default_cache",
@@ -112,7 +109,7 @@ _CRASH_KINDS = frozenset(
 )
 
 #: Valid campaign execution plans (see :func:`default_exec_plan`).
-_EXEC_PLANS = ("auto", "grid", "pool", "serial")
+_EXEC_PLANS = ("auto", "pool", "serial")
 
 #: Upper bound on (machines x union shapes) lanes evaluated per grid
 #: kernel launch.  Beyond it the machine axis is chunked: each float64
@@ -255,9 +252,13 @@ def simulator_fingerprint(simulator: Simulator) -> str:
 #: one at a time instead of losing the entire hot memo mid-run.  Keys
 #: are tiny and the limit is far above any realistic campaign's
 #: distinct (machine, shape) count, so eviction is a rare single-dict
-#: operation rather than a recurring cold restart.
+#: operation rather than a recurring cold restart.  Reads are lock-free
+#: (the runner's hot loops call ``_KEY_MEMO.get`` directly); the
+#: check-evict-insert step holds the lock, so service threads filling
+#: the memo concurrently never evict the same entry twice.
 _KEY_MEMO: dict[tuple, str] = {}
 _KEY_MEMO_LIMIT = 65536
+_KEY_MEMO_LOCK = threading.Lock()
 
 #: Per-model dedup structure, computed once per :class:`LayerSet`
 #: object and dropped with it (weak keys -- ``LayerSet`` hashes by
@@ -320,11 +321,14 @@ def layer_cache_key(
             f"|{shape!r}|{int(bool(layer_by_layer))}"
         )
         key = hashlib.sha256(payload.encode()).hexdigest()
-        if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
-            # FIFO eviction: drop the single oldest entry instead of
-            # clearing the whole memo (insertion order == age).
-            del _KEY_MEMO[next(iter(_KEY_MEMO))]
-        _KEY_MEMO[memo_key] = key
+        with _KEY_MEMO_LOCK:
+            if memo_key not in _KEY_MEMO:
+                if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
+                    # FIFO eviction: drop the single oldest entry
+                    # instead of clearing the whole memo (insertion
+                    # order == age).
+                    del _KEY_MEMO[next(iter(_KEY_MEMO))]
+                _KEY_MEMO[memo_key] = key
     return key
 
 
@@ -662,7 +666,6 @@ def simulate_model_cached(
     fingerprint: str | None = None,
     vectorize: bool | None = None,
     on_fallback: Callable[[str], None] | None = None,
-    _overlay: "dict[str, LayerResult] | None" = None,
 ) -> ModelResult:
     """``Simulator.simulate_model`` through the content-addressed cache.
 
@@ -678,11 +681,6 @@ def simulate_model_cached(
     back to the scalar oracle and reports why through ``on_fallback``.
     Cache-stat accounting (one lookup per unique shape, one put per
     miss) is the same either way.
-
-    ``_overlay`` is a private campaign-level result overlay (cache key
-    -> :class:`LayerResult`) seeded by ``SweepRunner``'s union prewarm;
-    overlay hits bypass the cache probe entirely (no stat traffic) and
-    are only consulted on the vectorized path.
     """
     if cache is None:
         cache = default_cache()
@@ -698,7 +696,6 @@ def simulate_model_cached(
             cache,
             fingerprint,
             on_fallback,
-            _overlay,
         )
     result = ModelResult(accelerator=simulator.spec.name, model=model.name)
     # Inlined hot loop: this runs once per layer of every model of a
@@ -749,7 +746,6 @@ def _simulate_model_cached_vectorized(
     cache,
     fingerprint: str,
     on_fallback: Callable[[str], None] | None,
-    overlay: "dict[str, LayerResult] | None" = None,
 ) -> ModelResult:
     """Vectorized twin of the ``simulate_model_cached`` hot loop.
 
@@ -781,18 +777,10 @@ def _simulate_model_cached_vectorized(
     memo_get = _KEY_MEMO.get
     cache_get = cache.get
     memory_get = cache._memory.get if type(cache) is ResultCache else None
-    overlay_get = overlay.get if overlay else None
     for i, (layer, shape) in enumerate(zip(unique, shapes)):
         key = memo_get((fingerprint, shape, layer_by_layer))
         if key is None:
             key = layer_cache_key(fingerprint, layer, layer_by_layer)
-        if overlay_get is not None and (cached := overlay_get(key)) is not None:
-            # Prewarm overlay hit: the campaign already resolved this
-            # (machine, shape) pair this run -- no cache traffic.
-            if cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            resolved[i] = cached
-            continue
         if memory_get is not None and (cached := memory_get(key)) is not None:
             cache._hits += 1
             if cache._lru_active:
@@ -878,7 +866,7 @@ class JobStats:
     n_unique_layers: int
     cache_hits: int
     cache_misses: int
-    mode: str  # "serial" | "parallel" | "pool" | "resumed" | "grid"
+    mode: str  # "serial" | "pool" | "resumed" | "grid"
     attempts: int = 1
     failed: bool = False
     index: int = -1
@@ -889,8 +877,8 @@ class PlanDecision:
     """One execution-planner choice for a group of campaign jobs.
 
     ``plan`` is the mechanism the group was routed to (``"grid"``:
-    in-process 2-D megabatch, ``"pool"``/``"spawn"``: process
-    parallelism, ``"serial"``: in-process per-job loop); ``reason``
+    in-process array kernel, ``"pool"``: the warm-worker pool,
+    ``"serial"``: in-process per-job loop); ``reason``
     says why in one human-readable clause.  Grid decisions also carry
     the evaluated lane count (machines x union shapes).
     """
@@ -918,7 +906,7 @@ class JobFailure:
     message: str
     traceback_summary: str
     attempts: int
-    phase: str  # "serial" | "parallel"
+    phase: str  # "serial" | "parallel" (pool) | "grid"
     #: Structured invariant-violation payloads (dicts from
     #: :meth:`repro.core.invariants.InvariantViolation.to_dict`) when
     #: the job failed the post-run result audit; empty otherwise.
@@ -978,67 +966,32 @@ def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
     return " <- ".join(reversed(parts)) if parts else ""
 
 
-def _worker_entry(payload: bytes, conn) -> None:
-    """Worker-process body: run one pickled job, ship the outcome back.
-
-    Everything the parent needs to know travels over the pipe: either
-    ``("ok", ModelResult)`` or ``("err", type, message, traceback)``.
-    A worker that dies without sending anything (``os._exit``, signal,
-    interpreter crash) is detected by the parent as an EOF on the pipe.
-    """
-    try:
-        job = pickle.loads(payload)
-        result = _execute_job(job)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        try:
-            conn.send(
-                ("err", type(exc).__name__, str(exc), _traceback_summary(exc))
-            )
-        except Exception:
-            pass  # parent sees EOF and records a worker crash
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-@dataclass
-class _ActiveAttempt:
-    """Parent-side bookkeeping for one in-flight worker process."""
-
-    pos: int  # position within the submitted sub-list
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-    deadline: float | None
-
-
 class SweepRunner:
-    """Fans sweep jobs out over processes with deterministic ordering.
+    """Runs sweep jobs in-process or on a warm pool, deterministically.
 
     * results come back in exactly the submission order, whatever the
       completion order was;
-    * ``max_workers <= 1`` (the default) runs serially through the
-      cache; a *structural* pool failure (fork refusal, unpicklable
-      job) falls back to the serial path transparently, records
-      :attr:`fallback_reason` and sets :attr:`used_fallback`;
-    * the parallel path defaults to a **persistent warm-worker pool**
+    * the execution planner (:attr:`exec_plan`) evaluates every
+      grid-eligible machine family in-process through the array
+      kernel (:mod:`repro.core.grid`; a one-machine family is a grid
+      with m = 1) and routes the rest to the serial loop or the pool;
+    * ``max_workers <= 1`` (the default) runs the rest serially
+      through the cache; a *structural* pool failure (fork refusal,
+      unpicklable job) falls back to the serial path transparently,
+      records :attr:`fallback_reason` and sets :attr:`used_fallback`;
+    * the one parallel executor is the **persistent warm-worker pool**
       (:class:`repro.core.pool.WorkerPool`): long-lived worker
       processes loop over adaptively-chunked job batches, keeping a
-      warm in-process cache tier and fingerprint memo across jobs, so
-      many-small-job campaigns skip the per-attempt fork + pickle
-      cost.  ``pool=False`` restores the PR 2 one-process-per-attempt
-      path.  Either way the **fault isolation** contract is the same:
-      a raising, crashing or hanging job never takes sibling jobs'
-      results down with it (a pooled worker that dies or hangs is
-      terminated and respawned; batch-mates that never started are
-      re-queued without being charged an attempt).  Failed attempts
+      warm in-process cache tier and fingerprint memo across jobs.
+      Its **fault isolation** contract: a raising, crashing or hanging
+      job never takes sibling jobs' results down with it (a worker
+      that dies, hangs or breaches the memory budget is terminated and
+      respawned; batch-mates that never started are re-queued without
+      being charged an attempt).  Failed attempts
       are retried up to :attr:`retries` times with exponential backoff
       (``backoff_s * 2**(attempt-1)``) and optionally time-limited by
-      :attr:`timeout_s` (parallel runs only; a hung attempt's worker
-      is terminated).  Exhausted jobs become :class:`JobFailure`
+      :attr:`timeout_s` (pool runs only; a hung attempt's worker is
+      terminated).  Exhausted jobs become :class:`JobFailure`
       records in :attr:`failures`; ``on_error="raise"`` (default)
       turns the first permanent failure into :class:`SweepJobError`,
       while ``on_error="skip"`` keeps going and returns ``None`` in
@@ -1063,7 +1016,6 @@ class SweepRunner:
         resume: bool | None = None,
         progress: Callable[[JobStats], None] | None = None,
         audit: bool | None = None,
-        pool: bool | None = None,
         pool_batch: int | None = None,
         vectorize: bool | None = None,
         budget: "CampaignBudget | None | bool" = None,
@@ -1098,9 +1050,6 @@ class SweepRunner:
         #: violations.  Audit failures are deterministic, so they are
         #: never retried.
         self.audit = _defaults.audit if audit is None else audit
-        #: Use the persistent warm-worker pool on the parallel path
-        #: (default); ``pool=False`` restores one process per attempt.
-        self.pool = default_pool() if pool is None else bool(pool)
         #: Fixed batch size per dispatch (None: adaptive chunking).
         self.pool_batch = (
             _defaults.pool_batch if pool_batch is None else pool_batch
@@ -1121,10 +1070,10 @@ class SweepRunner:
         #: :meth:`run` (serial path; surfaced by
         #: :meth:`campaign_report`).
         self.vectorized_fallbacks: list[tuple[int, str, str, str]] = []
-        #: Campaign execution plan: ``"auto"`` lets the planner group
-        #: jobs by machine family and pick the 2-D grid megabatch
-        #: (:mod:`repro.core.grid`) vs pooled vs serial dispatch per
-        #: group; ``"grid"``/``"pool"``/``"serial"`` force one
+        #: Campaign execution plan: ``"auto"`` lets the planner grid
+        #: every eligible machine family through the array kernel
+        #: (:mod:`repro.core.grid`) and send the rest to pooled or
+        #: serial dispatch; ``"pool"``/``"serial"`` force one
         #: mechanism.  All plans are bit-identical -- the planner only
         #: moves where the same floats are computed.
         self.exec_plan = default_exec_plan() if exec_plan is None else exec_plan
@@ -1364,144 +1313,7 @@ class SweepRunner:
             )
             self.cache.put(key, layer_result)
 
-    def _parallel_audit_failure(
-        self,
-        entry: "_ActiveAttempt",
-        indexes: Sequence[int],
-        jobs: Sequence[SweepJob],
-        job_stats: dict,
-        violations: list,
-    ) -> JobFailure:
-        """Record a parallel job whose result failed the invariant audit."""
-        job = jobs[entry.pos]
-        failure = self._record_failure(
-            indexes[entry.pos],
-            job,
-            error_type="InvariantViolationError",
-            message=(
-                f"{len(violations)} invariant violation(s): "
-                + "; ".join(v.describe() for v in violations[:3])
-            ),
-            traceback_summary="",
-            attempts=entry.attempt,
-            phase="parallel",
-            violations=tuple(v.to_dict() for v in violations),
-        )
-        job_stats[entry.pos] = JobStats(
-            model=job.model.name,
-            accelerator=job.simulator.spec.name,
-            wall_time_s=time.monotonic() - entry.started,
-            n_layers=0,
-            n_unique_layers=len(job.model.unique_layers),
-            cache_hits=0,
-            cache_misses=0,
-            mode="parallel",
-            attempts=entry.attempt,
-            failed=True,
-            index=indexes[entry.pos],
-        )
-        return failure
-
     # -- serial path ---------------------------------------------------
-    def _prewarm_vectorized(
-        self,
-        jobs: Sequence[SweepJob],
-        fingerprints: dict[int, str],
-    ) -> "dict[str, LayerResult] | None":
-        """Seed a campaign-level result overlay with one union batch per machine.
-
-        Jobs that will take the vectorized path are grouped by
-        ``(simulator, layer_by_layer)``; for each group with more than
-        one job, every group-unique shape is resolved against the cache
-        **once** (same stat accounting as one pass-1 probe) and the
-        misses are evaluated as a single union batch through the NumPy
-        kernel.  The returned overlay (cache key -> ``LayerResult``)
-        short-circuits the per-job pass-1 probes, so an N-model
-        campaign pays one kernel launch per machine instead of N.
-
-        Groups are skipped -- leaving behaviour byte-identical to the
-        un-prewarmed path -- when the machine has a kernel coverage gap
-        (the per-job path reports the structured fallback reason) or
-        when the union batch is declined by a strict simulator (the
-        per-job path reproduces the exact scalar raise).  Single-job
-        groups are skipped too: prewarming them would only duplicate
-        the per-job batch.
-        """
-        from .vectorized import coverage_gap, simulate_layers_vectorized
-
-        groups: dict[tuple[int, bool], tuple[Simulator, list[SweepJob]]] = {}
-        for job in jobs:
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                continue
-            group_key = (id(job.simulator), job.layer_by_layer)
-            group = groups.get(group_key)
-            if group is None:
-                groups[group_key] = group = (job.simulator, [])
-            group[1].append(job)
-        overlay: dict[str, LayerResult] = {}
-        cache = self.cache
-        cache_get = cache.get
-        memo_get = _KEY_MEMO.get
-        memory_get = cache._memory.get if type(cache) is ResultCache else None
-        for (sim_id, layer_by_layer), (simulator, group_jobs) in groups.items():
-            if len(group_jobs) < 2:
-                continue
-            if coverage_gap(simulator) is not None:
-                continue
-            if sim_id not in fingerprints:
-                fingerprints[sim_id] = simulator_fingerprint(simulator)
-            fingerprint = fingerprints[sim_id]
-            seen: set[tuple[int, ...]] = set()
-            add_seen = seen.add
-            missing_layers: list[ConvLayer] = []
-            missing_keys: list[str] = []
-            hits: list[tuple[str, LayerResult]] = []
-            for job in group_jobs:
-                unique, shapes, _ = _model_structure(job.model)
-                for layer, shape in zip(unique, shapes):
-                    if shape in seen:
-                        continue
-                    add_seen(shape)
-                    key = memo_get((fingerprint, shape, layer_by_layer))
-                    if key is None:
-                        key = layer_cache_key(
-                            fingerprint, layer, layer_by_layer
-                        )
-                    if (
-                        memory_get is not None
-                        and (cached := memory_get(key)) is not None
-                    ):
-                        cache._hits += 1
-                        if cache._lru_active:
-                            cache._memory.move_to_end(key)
-                    else:
-                        cached = cache_get(key)
-                    if cached is None:
-                        missing_layers.append(layer)
-                        missing_keys.append(key)
-                    else:
-                        hits.append((key, cached))
-            if missing_layers:
-                built = simulate_layers_vectorized(
-                    simulator, missing_layers, layer_by_layer=layer_by_layer
-                )
-                if built is None:
-                    # Strict decline: don't seed anything for this
-                    # group -- the per-job path re-probes and falls
-                    # back to the scalar oracle with the exact raise.
-                    continue
-                cache_put = cache.put
-                for key, layer_result in zip(missing_keys, built):
-                    cache_put(key, layer_result)
-                    overlay[key] = layer_result
-            overlay.update(hits)
-        return overlay or None
-
     def _run_serial(
         self,
         jobs: Sequence[SweepJob],
@@ -1511,7 +1323,6 @@ class SweepRunner:
     ) -> list[ModelResult | None]:
         results: list[ModelResult | None] = []
         fingerprints: dict[int, str] = {}
-        overlay = self._prewarm_vectorized(jobs, fingerprints)
         # Resumed replays are exempt from stop checks: they are cheap
         # cache reads that materialise already-earned results.
         check_stop = mode != "resumed"
@@ -1572,7 +1383,6 @@ class SweepRunner:
                         fingerprint=fingerprints[sim_id],
                         vectorize=job_vectorize,
                         on_fallback=on_fallback,
-                        _overlay=overlay,
                     )
                     if self.audit:
                         violations = audit_model_result(
@@ -1668,14 +1478,12 @@ class SweepRunner:
                 raise SweepJobError(failure)
         return results
 
-    # -- execution planner / grid megabatch path -----------------------
+    # -- execution planner / grid path ---------------------------------
     def _dispatch(self, sub: Sequence[SweepJob], todo: Sequence[int]):
         """Route the pending jobs per :attr:`exec_plan`.
 
-        ``serial``/``pool`` force one mechanism; ``auto`` and ``grid``
-        go through the planner (``grid`` additionally grids
-        single-machine families the heuristic would leave alone).
-        Every route computes bit-identical results.
+        ``serial``/``pool`` force one mechanism; ``auto`` goes through
+        the planner.  Every route computes bit-identical results.
         """
         plan = self.exec_plan
         if plan == "serial":
@@ -1689,7 +1497,7 @@ class SweepRunner:
             return self._run_serial(sub, indexes=todo)
         if plan == "pool":
             return self._dispatch_pool(sub, todo, forced=True)
-        return self._run_planned(sub, todo, forced=plan == "grid")
+        return self._run_planned(sub, todo)
 
     def _dispatch_pool(
         self,
@@ -1697,10 +1505,15 @@ class SweepRunner:
         todo: Sequence[int],
         *,
         forced: bool = False,
+        isolate: bool = False,
     ):
         """The classic dispatch: serial below the parallel threshold,
-        otherwise pool/spawn with structural fallback to serial."""
-        if self.max_workers <= 1 or len(sub) <= 1:
+        otherwise the warm pool with structural fallback to serial.
+        ``isolate`` keeps even a lone job in a worker: the planner's
+        leftovers (gap machines, uncovered models) split off a larger
+        campaign keep the crash isolation ``max_workers > 1`` asked
+        for."""
+        if self.max_workers <= 1 or (len(sub) <= 1 and not isolate):
             self.plan_decisions.append(
                 PlanDecision(
                     plan="serial",
@@ -1712,7 +1525,7 @@ class SweepRunner:
             )
             return self._run_serial(sub, indexes=todo)
         decision = PlanDecision(
-            plan="pool" if self.pool else "spawn",
+            plan="pool",
             jobs=len(sub),
             reason=(
                 "forced by exec_plan='pool'"
@@ -1722,10 +1535,9 @@ class SweepRunner:
             ),
         )
         self.plan_decisions.append(decision)
-        parallel = self._run_pool if self.pool else self._run_parallel
         try:
-            out = parallel(sub, indexes=todo)
-            if self.pool and self.pool_stats is not None:
+            out = self._run_pool(sub, indexes=todo)
+            if self.pool_stats is not None:
                 self.pool_stats.plan = decision.describe()
             return out
         except SweepJobError:
@@ -1749,16 +1561,12 @@ class SweepRunner:
             return self._run_serial(sub, indexes=todo)
 
     def _run_planned(
-        self,
-        sub: Sequence[SweepJob],
-        todo: Sequence[int],
-        *,
-        forced: bool,
+        self, sub: Sequence[SweepJob], todo: Sequence[int]
     ) -> "list[ModelResult | None]":
         """Plan and execute: grid-eligible family groups in-process via
-        the 2-D megabatch kernel, everything else through the classic
+        the array kernel, everything else through the classic
         serial/pool dispatch."""
-        groups, leftover = self._plan_grid_groups(sub, forced=forced)
+        groups, leftover = self._plan_grid_groups(sub)
         results: list[ModelResult | None] = [None] * len(sub)
         for key, group in groups:
             if self._check_stop():
@@ -1783,7 +1591,9 @@ class SweepRunner:
                 )
                 lout = self._run_serial(lsub, indexes=lidx)
             else:
-                lout = self._dispatch_pool(lsub, lidx)
+                lout = self._dispatch_pool(
+                    lsub, lidx, isolate=len(lsub) < len(sub)
+                )
             for p, result in zip(leftover, lout):
                 results[p] = result
         return results
@@ -1791,15 +1601,15 @@ class SweepRunner:
     def _prefer_serial(self, jobs: Sequence[SweepJob]) -> bool:
         """Satellite of the planner: detect the pool/serial inversion.
 
-        ``True`` when every job rides the vectorized kernel and the
-        total unique-lane count is small enough that per-job process
-        dispatch would cost more than the compute itself.  Scalar or
-        coverage-gap jobs never qualify -- their per-job compute is
-        real and parallelism still pays.
+        ``True`` when every job's machine rides the array kernel and
+        the total unique-lane count is small enough that per-job
+        process dispatch would cost more than the compute itself.
+        Scalar or grid-gap jobs never qualify -- their per-job compute
+        is real and parallelism still pays.
         """
         if self.max_workers <= 1 or len(jobs) <= 1:
             return False  # _dispatch_pool already runs these serially
-        from .vectorized import coverage_gap
+        from .grid import grid_gap
 
         gaps: dict[int, bool] = {}
         lanes = 0
@@ -1813,7 +1623,7 @@ class SweepRunner:
                 return False
             sim_id = id(job.simulator)
             if sim_id not in gaps:
-                gaps[sim_id] = coverage_gap(job.simulator) is not None
+                gaps[sim_id] = grid_gap(job.simulator) is not None
             if gaps[sim_id]:
                 return False
             lanes += len(_model_structure(job.model)[0])
@@ -1821,18 +1631,15 @@ class SweepRunner:
                 return False
         return True
 
-    def _plan_grid_groups(
-        self, sub: Sequence[SweepJob], *, forced: bool
-    ) -> tuple:
+    def _plan_grid_groups(self, sub: Sequence[SweepJob]) -> tuple:
         """Partition jobs into grid-eligible family groups + leftovers.
 
         A job is grid-eligible when it takes the vectorized path, its
         machine passes :func:`repro.core.grid.grid_gap` and every
         unique layer of its model passes the int64 sieve.  Eligible
-        jobs group by :func:`repro.core.grid.family_key`; under
-        ``auto`` a group must span at least two distinct machines
-        (single-machine model batching is already covered by the 1-D
-        prewarm), under ``forced`` every eligible group grids.
+        jobs group by :func:`repro.core.grid.family_key`; every group
+        grids, a one-machine family as a grid with m = 1 (one union
+        batch over all of that machine's models).
         """
         from . import grid as grid_mod
 
@@ -1865,22 +1672,12 @@ class SweepRunner:
                 leftover.append(pos)
                 continue
             key = grid_mod.family_key(job.simulator, job.layer_by_layer)
-            group = groups.setdefault(key, {"machines": {}, "jobs": []})
+            group = groups.setdefault(key, {"machines": {}})
             entry = group["machines"].get(sim_id)
             if entry is None:
                 group["machines"][sim_id] = entry = (job.simulator, [])
             entry[1].append(pos)
-            group["jobs"].append(pos)
-        kept = []
-        for key, group in groups.items():
-            if not forced and len(group["machines"]) < 2:
-                # One machine: the 1-D prewarm already union-batches
-                # the model axis; the grid only pays off along the
-                # config axis.  Route through the classic dispatch.
-                leftover.extend(group["jobs"])
-                continue
-            kept.append((key, group))
-        return kept, leftover
+        return list(groups.items()), leftover
 
     def _run_grid_group(
         self,
@@ -1890,18 +1687,18 @@ class SweepRunner:
         todo: Sequence[int],
         results: "list[ModelResult | None]",
     ) -> "list[int]":
-        """Execute one machine-family group through the 2-D grid kernel.
+        """Execute one machine-family group through the grid kernel.
 
         Lowers the union of the group's layer shapes once, evaluates
         the whole (machines x shapes) grid in one kernel launch
         (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
-        and stitches per-job results from the shared lanes.  Cache
-        probes/puts mirror the 1-D prewarm; per-job ``JobStats`` carry
-        ``mode="grid"`` with zero cache counts (probes are charged at
-        machine granularity to the runner-level cache stats, exactly
-        like the prewarm).  Returns the sub-positions of jobs whose
-        machine the kernel declined -- they re-route to the classic
-        per-job path, bit-identically.
+        and stitches per-job results from the shared lanes.  The cache
+        is probed once per (machine, union shape) and every miss is put
+        once; per-job ``JobStats`` carry ``mode="grid"`` with zero cache
+        counts (probes are charged at machine granularity to the
+        runner-level cache stats).  Returns the sub-positions of jobs
+        whose machine the kernel declined -- they re-route to the
+        classic per-job path, bit-identically.
         """
         from . import grid as grid_mod
 
@@ -2162,248 +1959,6 @@ class SweepRunner:
                 raise SweepJobError(failure)
         return leftover
 
-    # -- parallel path -------------------------------------------------
-    def _run_parallel(
-        self,
-        jobs: Sequence[SweepJob],
-        indexes: Sequence[int] | None = None,
-    ) -> list[ModelResult | None]:
-        indexes = list(range(len(jobs))) if indexes is None else list(indexes)
-        # Jobs are pickled lazily, one attempt at a time at launch --
-        # peak payload memory is O(active workers), never O(campaign).
-        # An unpicklable job raises out of the dispatch loop and is
-        # caught by :meth:`run` as a reason to fall back to serial
-        # execution (worker cleanup happens in the ``finally`` below).
-        ctx = multiprocessing.get_context()
-        n = len(jobs)
-        results: list[ModelResult | None] = [None] * n
-        job_stats: dict[int, JobStats] = {}
-        #: (pos, attempt, not_before) queue of attempts awaiting a slot.
-        pending: list[tuple[int, int, float]] = [
-            (pos, 1, 0.0) for pos in range(n)
-        ]
-        active: dict = {}  # reader connection -> _ActiveAttempt
-        attempt_walls: dict[int, list[float]] = {}
-        backoff_spent: dict[int, float] = {}
-
-        def final_failure(
-            entry: _ActiveAttempt, error_type: str, message: str, tb: str
-        ) -> JobFailure | None:
-            """Handle one failed attempt; returns the permanent failure."""
-            walls = attempt_walls.setdefault(entry.pos, [])
-            walls.append(time.monotonic() - entry.started)
-            self._note_attempt(False, error_type)
-            quarantine = self._poisoned(indexes[entry.pos], error_type)
-            if not quarantine and entry.attempt <= self.retries:
-                if self._check_stop():
-                    # Draining: the job stays pending (unrecorded) so a
-                    # resume re-attempts it with a fresh retry budget.
-                    return None
-                delay = self._backoff_delay(entry.attempt)
-                self._retry_attempts += 1
-                self._retry_wall_s += walls[-1]
-                self._retry_backoff_s += delay
-                backoff_spent[entry.pos] = (
-                    backoff_spent.get(entry.pos, 0.0) + delay
-                )
-                pending.append(
-                    (entry.pos, entry.attempt + 1, time.monotonic() + delay)
-                )
-                return None
-            job = jobs[entry.pos]
-            failure = self._record_failure(
-                indexes[entry.pos],
-                job,
-                error_type=error_type,
-                message=message,
-                traceback_summary=tb,
-                attempts=entry.attempt,
-                phase="parallel",
-                quarantined=quarantine,
-                attempt_wall_times_s=tuple(walls),
-                backoff_slept_s=backoff_spent.get(entry.pos, 0.0),
-            )
-            job_stats[entry.pos] = JobStats(
-                model=job.model.name,
-                accelerator=job.simulator.spec.name,
-                wall_time_s=time.monotonic() - entry.started,
-                n_layers=0,
-                n_unique_layers=len(job.model.unique_layers),
-                cache_hits=0,
-                cache_misses=0,
-                mode="parallel",
-                attempts=entry.attempt,
-                failed=True,
-                index=indexes[entry.pos],
-            )
-            return failure
-
-        try:
-            while pending or active:
-                now = time.monotonic()
-                if pending and self._check_stop(now):
-                    # Budget/signal stop: drop queued attempts (their
-                    # jobs stay pending in the manifest -> resumable)
-                    # and keep polling until the in-flight ones drain.
-                    pending = []
-                    if not active:
-                        break
-                # Launch attempts into free slots (skipping attempts
-                # still inside their backoff window).
-                while len(active) < self.max_workers:
-                    ready_at = next(
-                        (
-                            i
-                            for i, (_, _, not_before) in enumerate(pending)
-                            if not_before <= now
-                        ),
-                        None,
-                    )
-                    if ready_at is None:
-                        break
-                    pos, attempt, _ = pending.pop(ready_at)
-                    payload = pickle.dumps(jobs[pos])
-                    reader, writer = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_worker_entry,
-                        args=(payload, writer),
-                        daemon=True,
-                    )
-                    process.start()
-                    writer.close()
-                    active[reader] = _ActiveAttempt(
-                        pos=pos,
-                        attempt=attempt,
-                        process=process,
-                        started=now,
-                        deadline=(
-                            now + self.timeout_s
-                            if self.timeout_s is not None
-                            else None
-                        ),
-                    )
-                if not active:
-                    # Only backed-off attempts remain: sleep until the
-                    # earliest becomes runnable.
-                    next_start = min(entry[2] for entry in pending)
-                    time.sleep(
-                        min(max(next_start - time.monotonic(), 0.0), 0.5)
-                        or 0.001
-                    )
-                    continue
-                # Wait for completions, bounded by the nearest deadline
-                # or backoff expiry.
-                wait_s = 0.5
-                deadlines = [
-                    entry.deadline
-                    for entry in active.values()
-                    if entry.deadline is not None
-                ]
-                if deadlines:
-                    wait_s = min(wait_s, max(min(deadlines) - now, 0.0))
-                if pending:
-                    wait_s = min(
-                        wait_s,
-                        max(min(e[2] for e in pending) - now, 0.0),
-                    )
-                ready = multiprocessing.connection.wait(
-                    list(active), timeout=max(wait_s, 0.005)
-                )
-                for reader in ready:
-                    entry = active.pop(reader)
-                    message = None
-                    try:
-                        message = reader.recv()
-                    except (EOFError, OSError):
-                        message = None
-                    finally:
-                        reader.close()
-                    entry.process.join(timeout=5.0)
-                    if message is not None and message[0] == "ok":
-                        result: ModelResult = message[1]
-                        job = jobs[entry.pos]
-                        if self.audit:
-                            audit_found = audit_model_result(
-                                result, job.simulator.spec
-                            )
-                            if audit_found:
-                                # Deterministic failure: skip the retry
-                                # budget, keep the corrupt result out of
-                                # the cache and the manifest.
-                                entry.attempt = max(
-                                    entry.attempt, self.retries + 1
-                                )
-                                self._note_attempt(
-                                    False, "InvariantViolationError"
-                                )
-                                failure = self._parallel_audit_failure(
-                                    entry, indexes, jobs, job_stats,
-                                    audit_found,
-                                )
-                                if self.on_error == "raise":
-                                    raise SweepJobError(failure)
-                                continue
-                        self._note_attempt(True)
-                        results[entry.pos] = result
-                        job_stats[entry.pos] = JobStats(
-                            model=job.model.name,
-                            accelerator=job.simulator.spec.name,
-                            wall_time_s=time.monotonic() - entry.started,
-                            n_layers=len(result.layers),
-                            n_unique_layers=len(job.model.unique_layers),
-                            cache_hits=0,
-                            cache_misses=len(job.model.unique_layers),
-                            mode="parallel",
-                            attempts=entry.attempt,
-                            index=indexes[entry.pos],
-                        )
-                        self._seed_job(job, result)
-                        if self.manifest is not None:
-                            self.manifest.mark_done(indexes[entry.pos])
-                        continue
-                    if message is not None and message[0] == "err":
-                        _, error_type, text, tb = message
-                    else:
-                        error_type = "WorkerCrashed"
-                        text = (
-                            "worker process died without reporting "
-                            f"(exit code {entry.process.exitcode})"
-                        )
-                        tb = ""
-                    failure = final_failure(entry, error_type, text, tb)
-                    if failure is not None and self.on_error == "raise":
-                        raise SweepJobError(failure)
-                # Terminate attempts that blew their per-job deadline.
-                now = time.monotonic()
-                for reader, entry in list(active.items()):
-                    if entry.deadline is None or now <= entry.deadline:
-                        continue
-                    del active[reader]
-                    entry.process.terminate()
-                    entry.process.join(timeout=5.0)
-                    reader.close()
-                    failure = final_failure(
-                        entry,
-                        "TimeoutError",
-                        f"job attempt exceeded the {self.timeout_s}s "
-                        "timeout and was terminated",
-                        "",
-                    )
-                    if failure is not None and self.on_error == "raise":
-                        raise SweepJobError(failure)
-        finally:
-            # Whatever the exit path, never leak worker processes.
-            for reader, entry in active.items():
-                entry.process.terminate()
-                entry.process.join(timeout=1.0)
-                try:
-                    reader.close()
-                except OSError:
-                    pass
-        for pos in sorted(job_stats):
-            self._finish_job(job_stats[pos])
-        return results
-
     # -- persistent warm-worker pool path ------------------------------
     def _ensure_pool(self):
         """The runner's live :class:`~repro.core.pool.WorkerPool`.
@@ -2519,11 +2074,10 @@ class SweepRunner:
     ) -> list[ModelResult | None]:
         """Parallel execution over the persistent warm-worker pool.
 
-        Same policy semantics as :meth:`_run_parallel` -- retries with
-        exponential backoff, per-job timeout, audit-on-arrival, cache
-        seeding, manifest checkpointing, ``on_error`` -- but jobs ship
-        as adaptively-chunked batches to long-lived workers instead of
-        one fresh process per attempt.  Only the job a worker was
+        Retries with exponential backoff, per-job timeout, RSS kills,
+        poison quarantine, audit-on-arrival, cache seeding, manifest
+        checkpointing and ``on_error``; jobs ship as adaptively-chunked
+        batches to long-lived workers.  Only the job a worker was
         *executing* when it died or hung is charged a failed attempt;
         queued batch-mates re-enter the dispatch queue untouched.
         """
@@ -3127,7 +2681,6 @@ class _SweepDefaults:
     on_error: str = "raise"
     resume: bool = False
     audit: bool = True
-    pool: bool | None = None
     pool_batch: int | None = None
     vectorize: bool | None = None
     budget: "CampaignBudget | None" = None
@@ -3165,7 +2718,6 @@ def configure(
     on_error: str | None = None,
     resume: bool | None = None,
     audit: bool | None = None,
-    pool: bool | None = None,
     pool_batch: int | None = None,
     vectorize: bool | None = None,
     budget: "CampaignBudget | None | bool" = None,
@@ -3202,8 +2754,6 @@ def configure(
         _defaults.resume = resume
     if audit is not None:
         _defaults.audit = audit
-    if pool is not None:
-        _defaults.pool = pool
     if pool_batch is not None:
         if pool_batch < 1:
             raise ValueError("pool_batch must be >= 1")
@@ -3235,13 +2785,6 @@ def default_workers() -> int:
         return max(1, int(os.environ.get("REPRO_SWEEP_WORKERS", "1")))
     except ValueError:
         return 1
-
-
-def default_pool() -> bool:
-    """Warm-pool default: ``configure()`` > ``$REPRO_SWEEP_POOL`` > on."""
-    if _defaults.pool is not None:
-        return _defaults.pool
-    return os.environ.get("REPRO_SWEEP_POOL", "1") != "0"
 
 
 def default_exec_plan() -> str:

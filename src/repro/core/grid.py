@@ -1,36 +1,35 @@
-"""Two-dimensional (configs x layers) megabatch kernel.
+"""The (machines x layers) array kernel.
 
-PR 6's kernel (:mod:`repro.core.vectorized`) batched the *layer* axis:
-one machine evaluates its whole layer table as (n,) NumPy columns.
-A dense DSE campaign still walks the *config* axis in Python -- every
-machine re-lowers the same shapes and re-enters the kernel.  This
-module batches both axes at once: the union of layer shapes is lowered
-**once** per campaign (the memoized :func:`~.vectorized._shared_lower`
+This is the repository's one array kernel.  The union of layer shapes
+is lowered **once** (the memoized :func:`~.vectorized._shared_lower`
 table), per-machine mapping parameters become ``(m, 1)`` integer
 columns, and NumPy broadcasting evaluates mapping, traffic, timing,
 energy and the invariant audit for the whole ``(configs x layers)``
-grid in one pass.
+grid in one pass.  A single machine is a grid with m = 1: the sweep
+planner grids every eligible machine family, including one-machine
+families, and :func:`~.vectorized.simulate_layers_vectorized`,
+:func:`repro.core.roofline.time_lower_bounds` and
+:func:`repro.dse.bounds.layer_bounds_batch` call this module with
+m = 1.
 
-**Bit-identity by construction.**  The mapping and traffic stages are
-*the same code* as the 1-D kernel: :func:`~.vectorized._map_lanes` and
-:func:`~.vectorized._traffic_lanes` run against a shim spec whose
-mapping parameters are ``(m, 1)`` arrays, so every elementwise IEEE
-operation of a grid row is the operation the 1-D kernel would have
-applied for that machine -- broadcasting never changes per-element
-arithmetic.  The timing/energy/audit mirror follows the 1-D source
+**Bit-identity by construction.**  The mapping and traffic stages
+(:func:`~.vectorized._map_lanes`, :func:`~.vectorized._traffic_lanes`)
+run against a shim spec whose mapping parameters are ``(m, 1)``
+arrays; the timing/energy/audit stages mirror the scalar simulator
 expression-for-expression with per-machine scalars turned into
-``(m, 1)`` float columns (same operand values, same association).
+``(m, 1)`` float columns (same operand values, same association), and
+broadcasting never changes per-element IEEE arithmetic.
 Network-energy lowering calls the registered per-machine lowerers on
 row views, so custom models need no grid-specific port.
 
-**Exactness and fallback.**  The grid runs *unchecked-only*: a machine
-joins a grid only when :func:`~.vectorized._screen_spec` proves its
-whole batch can never overflow any 2**53/2**62 limit -- the same
-screen the 1-D kernel uses to drop its per-lane fences.  Machines that
-fail the screen, have a coverage gap, carry a dead (``inf``-semantics)
-link, or bail out strictly on a dirty audit lane fall back to the
-per-machine 1-D/scalar path; :func:`evaluate_grid` reports the reason
-per machine and the sweep runner surfaces it in ``campaign_report()``.
+**Screen or scalar.**  A machine joins a grid only when
+:func:`~.vectorized._screen_spec` proves its whole batch can never
+reach any 2**53/2**62 limit.  Machines that fail the screen, have a
+coverage gap, carry a dead (``inf``-semantics) link, exceed the
+parameter budget, or bail out strictly on a dirty audit lane come back
+as ``None`` rows with a reason string; callers evaluate them lane by
+lane through the scalar oracle (the sweep runner surfaces the reason
+in ``campaign_report()``).
 
 **Lazy materialization.**  The grid publishes its results as one
 :class:`~.metrics.LaneStore` (a column per
@@ -56,10 +55,8 @@ from .invariants import DEFAULT_REL_TOL
 from .metrics import LaneStore
 from .simulator import _MIN_BANDWIDTH_GBPS
 from .vectorized import (
-    _CAST_LIMIT,
     _EXACT_INT,
     _NETWORK_LOWERERS,
-    _close_lanes,
     _copy_cols,
     _ensure_builtin_lowerers,
     _fits_int64,
@@ -69,21 +66,30 @@ from .vectorized import (
     _shared_cols,
     _shared_lower,
     _traffic_lanes,
+    bounds_coverage_gap,
     coverage_gap,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .accelerator import AcceleratorSpec
     from .layer import ConvLayer
     from .simulator import Simulator
 
 __all__ = [
     "GridOutcome",
+    "STRICT_BAILOUT",
     "bounds_grid",
+    "bounds_row",
     "evaluate_grid",
     "family_key",
     "grid_gap",
     "lane_covered",
 ]
+
+#: Row reason of a strict machine with an invariant-dirty lane: the
+#: caller must run the scalar loop, which reproduces the exact raise.
+STRICT_BAILOUT = "strict invariant bailout"
+_SCREEN_DECLINED = "exactness screen declined the grid batch"
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +97,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _used_links(spec) -> list[str]:
     """The bandwidth fields the kernel actually divides by for this
-    spec (the split/combined selection the 1-D comm stage makes)."""
+    spec (the split/combined selection of the communication stage)."""
     links = [
         "chiplet_write_gbps",
         "pe_write_gbps",
@@ -113,14 +119,23 @@ def _used_links(spec) -> list[str]:
     return links
 
 
+def _budget_gap(spec) -> str | None:
+    """Parameter-parameter products must stay in the exact range: the
+    grid multiplies mapping parameters as int64 columns."""
+    p = spec.mapping_parameters()
+    if float(p.total_pes) * float(p.total_pes) * float(p.chiplets) >= _EXACT_INT:
+        return "mapping parameters exceed the exact-integer budget"
+    return None
+
+
 def grid_gap(simulator: "Simulator") -> str | None:
     """Why this machine cannot join any grid (None = eligible).
 
-    Strictly narrower than 1-D coverage: the grid additionally refuses
-    dead links (their ``inf``-transfer semantics are a per-spec scalar
-    branch the broadcast pass cannot take per row) and mapping
-    parameters large enough that parameter-parameter products could
-    leave the proven-exact range.
+    Beyond :func:`~.vectorized.coverage_gap`, dead links are refused
+    (their ``inf``-transfer semantics are a per-spec scalar branch the
+    broadcast pass cannot take per row), and so are mapping parameters
+    large enough that parameter-parameter products could leave the
+    proven-exact range.
     """
     gap = coverage_gap(simulator)
     if gap is not None:
@@ -129,10 +144,7 @@ def grid_gap(simulator: "Simulator") -> str | None:
     for name in _used_links(spec):
         if getattr(spec, name) <= _MIN_BANDWIDTH_GBPS:
             return f"dead link {name} needs scalar inf semantics"
-    p = spec.mapping_parameters()
-    if float(p.total_pes) * float(p.total_pes) * float(p.chiplets) >= _EXACT_INT:
-        return "mapping parameters exceed the exact-integer budget"
-    return None
+    return _budget_gap(spec)
 
 
 def family_key(simulator: "Simulator", layer_by_layer: bool = False) -> tuple:
@@ -161,7 +173,7 @@ def lane_covered(layer) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Shims: (m, 1) parameter columns behind the 1-D kernel's spec API
+# Shims: (m, 1) parameter columns behind the mapping stage's spec API
 # ----------------------------------------------------------------------
 class _GridParams:
     """``MappingParameters`` lookalike whose fields (including the
@@ -195,13 +207,22 @@ def _float_col(values):
 def _link_seconds(total_bytes, bandwidth_col):
     """Live-link transfer/floor seconds, (m, n).
 
-    Mirrors the live branch of both ``_transfer_lanes`` and
-    ``_floor_lanes`` (identical expressions); grid eligibility already
-    excluded dead links, so the scalar ``inf`` branch cannot apply.
+    Mirrors the live branch of ``simulator._transfer_time_s`` and
+    ``invariants._transfer_lower_bound_s`` (identical expressions);
+    grid eligibility already excluded dead links, so the scalar
+    ``inf`` branch cannot apply.
     """
     return np.where(
         total_bytes <= 0, 0.0, total_bytes * 8 / (bandwidth_col * 1e9)
     )
+
+
+def _floor_col(values):
+    """Bandwidth column for the bounds floors.  A non-positive
+    bandwidth becomes ``inf``, so :func:`_link_seconds` yields the
+    0.0 floor ``invariants._transfer_lower_bound_s`` returns for it
+    (a finite byte count over an infinite rate is exactly +0.0)."""
+    return _float_col([v if v > 0 else math.inf for v in values])
 
 
 class _RowView:
@@ -221,17 +242,39 @@ class _RowView:
         return col
 
 
+def _close_lanes(observed, expected, rel_tol):
+    """Vector mirror of ``invariants._close`` (math.isclose formula)."""
+    either_inf = np.isinf(observed) | np.isinf(expected)
+    agree = np.abs(observed - expected) <= np.maximum(
+        rel_tol * np.maximum(np.abs(observed), np.abs(expected)), 1e-18
+    )
+    return np.where(either_inf, observed == expected, agree)
+
+
 # ----------------------------------------------------------------------
 # The grid evaluation
 # ----------------------------------------------------------------------
-def _grid_lower(specs, shared, n, layer_by_layer):
+def _screen(specs, shared, reasons) -> list[int]:
+    """Indexes of the specs the exactness screen passes; the others get
+    their reason (unless an earlier check already gave one)."""
+    kept: list[int] = []
+    for j, spec in enumerate(specs):
+        if reasons[j] is not None:
+            continue
+        if _screen_spec(spec, shared):
+            kept.append(j)
+        else:
+            reasons[j] = _SCREEN_DECLINED
+    return kept
+
+
+def _grid_lower(specs, shared, layer_by_layer):
     """Mapping + traffic columns for one (machines x layers) grid.
 
     Broadcasts the shared ``(n,)`` layer columns against per-machine
-    ``(m, 1)`` parameter columns through the verbatim 1-D kernel
-    stages; shared setup of :func:`evaluate_grid` and
-    :func:`bounds_grid`.  Callers must have screened every spec with
-    :func:`_screen_spec` (unchecked mode: the lane flag never fires).
+    ``(m, 1)`` parameter columns; shared setup of :func:`evaluate_grid`
+    and :func:`bounds_grid`.  Callers must have screened every spec
+    with :func:`_screen_spec`.
     """
     params = [spec.mapping_parameters() for spec in specs]
 
@@ -253,34 +296,45 @@ def _grid_lower(specs, shared, n, layer_by_layer):
     gspec._params = gp
 
     d = _copy_cols(_shared_cols(shared))
-    flag = np.zeros(n, dtype=bool)  # unchecked mode: never set
-
     with np.errstate(all="ignore"):
-        _map_lanes(gspec, d, flag)
-        _traffic_lanes(gspec, d, flag, layer_by_layer)
+        _map_lanes(gspec, d)
+        _traffic_lanes(gspec, d, layer_by_layer)
     return d
 
 
 class GridOutcome:
     """Per-machine results of one grid evaluation.
 
-    ``by_machine[j]`` is a dict mapping ``layer.shape_key`` to a lazy
-    :class:`LayerResult` (aligned with the input simulators), or
-    ``None`` with ``reasons[j]`` naming why that machine must take the
-    per-machine 1-D/scalar path instead.
+    ``rows[j]`` is a list of lazy :class:`LayerResult` lanes aligned
+    with the input layers (each bound to its own layer), or ``None``
+    with ``reasons[j]`` naming why machine ``j`` must take the scalar
+    path instead.  ``by_machine[j]`` is the same row keyed by
+    ``layer.shape_key``.
     """
 
-    __slots__ = ("by_machine", "reasons", "lanes", "n_layers")
+    __slots__ = ("rows", "reasons", "lanes", "n_layers", "_keys", "_maps")
 
-    def __init__(self, by_machine, reasons, lanes, n_layers):
-        self.by_machine = by_machine
+    def __init__(self, rows, reasons, lanes, n_layers, keys):
+        self.rows = rows
         self.reasons = reasons
         self.lanes = lanes
         self.n_layers = n_layers
+        self._keys = keys
+        self._maps = None
+
+    @property
+    def by_machine(self) -> list:
+        if self._maps is None:
+            keys = self._keys
+            self._maps = [
+                None if row is None else dict(zip(keys, row))
+                for row in self.rows
+            ]
+        return self._maps
 
     @property
     def n_machines(self) -> int:
-        return sum(1 for entry in self.by_machine if entry is not None)
+        return sum(1 for row in self.rows if row is not None)
 
 
 def evaluate_grid(
@@ -293,34 +347,26 @@ def evaluate_grid(
 
     Every simulator must share one :func:`family_key` and pass
     :func:`grid_gap`; every layer must pass :func:`lane_covered`
-    (callers sieve with it).  Results are bit-identical to the 1-D
-    kernel and the scalar oracle; machines the exactness screen or a
-    strict dirty-audit bailout excludes come back as ``None`` rows
-    with a reason string.
+    (callers sieve with it).  Results are bit-identical to the scalar
+    oracle; machines the exactness screen or a strict dirty-audit
+    bailout excludes come back as ``None`` rows with a reason string.
     """
     _ensure_builtin_lowerers()
     n = len(layers)
-    by_machine: list = [None] * len(simulators)
     reasons: list = [None] * len(simulators)
     if n == 0:
-        for j in range(len(simulators)):
-            by_machine[j] = {}
-        return GridOutcome(by_machine, reasons, 0, 0)
+        return GridOutcome([[] for _ in simulators], reasons, 0, 0, [])
+    rows: list = [None] * len(simulators)
+    keys = [layer.shape_key for layer in layers]
 
     shared = _shared_lower(layers)
-    kept: list[int] = []
-    for j, simulator in enumerate(simulators):
-        if _screen_spec(simulator.spec, shared):
-            kept.append(j)
-        else:
-            reasons[j] = "exactness screen declined the grid batch"
+    kept = _screen([s.spec for s in simulators], shared, reasons)
     if not kept:
-        return GridOutcome(by_machine, reasons, 0, n)
+        return GridOutcome(rows, reasons, 0, n, keys)
 
     sims = [simulators[j] for j in kept]
     specs = [s.spec for s in sims]
-    m = len(sims)
-    d = _grid_lower(specs, shared, n, layer_by_layer)
+    d = _grid_lower(specs, shared, layer_by_layer)
 
     split_gb = bool(
         specs[0].gb_weight_egress_gbps and specs[0].gb_ifmap_egress_gbps
@@ -334,9 +380,11 @@ def evaluate_grid(
     )
 
     with np.errstate(all="ignore"):
-        # --- communication (mirror of _evaluate_batch's comm stage,
+        # --- communication (mirror of Simulator.communication_times,
         # per-spec scalars as (m, 1) columns; live links only)
         chiplets_active = np.maximum(1, d.ch_active)
+        # pes_active <= total_pes < 2**53 by the spec coverage gate, so
+        # it is always an exact division denominator.
         pes_active = d.ch_active * d.pe_active_per_chiplet
         pes_active_c = np.maximum(1, pes_active)
 
@@ -428,6 +476,8 @@ def evaluate_grid(
         comm = busy + reconfiguration_s
 
         comp = d.cycles * _float_col([s.cycle_time_s for s in specs])
+        # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0;
+        # np.maximum would propagate the NaN.  The select mirrors max.
         diff = comm - comp
         exposed = np.where(diff > 0.0, diff, 0.0)
         exec_s = comp + exposed
@@ -485,6 +535,8 @@ def evaluate_grid(
         laser_mj = np.vstack(laser_rows)
         electrical_mj = np.vstack(elec_rows)
 
+        # delivered stays exact at any int64 magnitude (sums cannot wrap
+        # below 3 * 2**53) and only ever feeds further integer arithmetic.
         delivered = d.cw + d.ci + d.out
         packet = [sim.packet_latency_s() for sim in sims]
         energies = (
@@ -504,38 +556,55 @@ def evaluate_grid(
         elec=electrical_mj,
     )
 
-    shape_keys = [layer.shape_key for layer in layers]
     lanes = 0
     for jj, sim in enumerate(sims):
         row_dirty = bool(dirty[jj].any())
         if sim.strict and row_dirty:
-            # Mirror the 1-D strict bailout: the per-machine path
-            # reproduces the exact scalar raise and its side effects.
-            reasons[kept[jj]] = "strict invariant bailout"
+            # The scalar loop reproduces the exact raise and its side
+            # effects.
+            reasons[kept[jj]] = STRICT_BAILOUT
             continue
-        row = store.lanes(
+        rows[kept[jj]] = store.lanes(
             jj, layers, sim.spec, dirty[jj].tolist() if row_dirty else None
         )
-        by_machine[kept[jj]] = dict(zip(shape_keys, row))
         lanes += n
-    return GridOutcome(by_machine, reasons, lanes, n)
+    return GridOutcome(rows, reasons, lanes, n, keys)
 
 
 def _audit_grid(
     specs, packet, d, comm, exec_s, energies,
     split_gb, gb_ingress_col, dram_col,
 ):
-    """(m, n) form of the 1-D ``_audit_lanes``: dirty iff the scalar
-    audit would report at least one violation for that lane."""
+    """Array form of ``audit_layer_result(result, spec)``: (m, n)
+    dirty mask.
+
+    Check-for-check mirror of :mod:`repro.core.invariants` at
+    ``DEFAULT_REL_TOL``; a lane is dirty iff the scalar audit would
+    report at least one violation.  Checks that cannot fire on
+    kernel-built lanes are not evaluated: comp is ``cycles *
+    cycle_time_s`` with positive finite factors (so INV-OPS-TIME
+    compares a value with itself), exposed is ``max(0, comm - comp)``
+    by construction, every byte column is a product of non-negative
+    integers, and chiplets/PEs-active are clamped to the spec.  What
+    remains is every check whose verdict depends on spec parameters
+    the constructor does not validate or on mapper allocation bugs
+    this audit exists to catch.
+    """
     rel_tol = DEFAULT_REL_TOL
     slack = 1.0 + rel_tol
-    m = len(specs)
 
-    dirty = ~(comm >= 0)
+    dirty = ~(comm >= 0)  # negative or NaN (a negative tuning delay)
     for j, latency in enumerate(packet):
         if math.isnan(latency) or latency < 0:
             dirty[j, :] = True
 
+    # energy: a negative or NaN component (negative/NaN energy-model
+    # coefficients, 0 * inf on a stalled layer), then the sum identity.
+    # EnergyBreakdown.total_mj associates (((mac+pe)+gb)+dram) +
+    # ((((eo+oe)+heat)+laser)+elec); the audit's expectation is the
+    # flat left fold.  Mirror both and compare like _close does.  A
+    # NaN total implies a NaN (or +/-inf pair) among the components,
+    # which the sign check already marked dirty.
     mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
     for arr in energies:
         dirty |= ~(arr >= 0)
@@ -547,7 +616,12 @@ def _audit_grid(
         observed_total, expected_total, rel_tol
     )
 
-    # op conservation with the near-bound exact re-judge
+    # op conservation.  capacity = cycles * peak legitimately crosses
+    # 2**53, where the scalar compares the exact integer against
+    # fl(capacity * slack) in one rounding but float math would take
+    # two.  Screen in float with a 1e-9 relative margin (conversion
+    # error is ~1e-16), then re-judge the rare near-bound lanes with
+    # exact Python integers -- the scalar expression itself.
     peaks = [spec.peak_macs_per_cycle for spec in specs]
     peak_col = _float_col([float(peak) for peak in peaks])
     capacity_f = d.cycles.astype(np.float64) * peak_col
@@ -589,106 +663,137 @@ def _audit_grid(
 
 
 # ----------------------------------------------------------------------
-# Grid-batched lower bounds (DSE pruning)
+# Grid-batched lower bounds (roofline / DSE pruning)
 # ----------------------------------------------------------------------
 def bounds_grid(
-    simulators: "Sequence[Simulator]",
+    specs: "Sequence[AcceleratorSpec]",
     layers: "Sequence[ConvLayer]",
     *,
+    energies=None,
     layer_by_layer: bool = False,
 ) -> tuple[list, list]:
-    """Batched ``dse.bounds.layer_bounds`` over a (machines x layers)
-    grid: ``(rows, reasons)`` where ``rows[j]`` is a list of
-    ``(time_floor_s, energy_floor_mj)`` tuples aligned with ``layers``,
-    or ``None`` with ``reasons[j]`` naming why machine ``j`` must take
-    the per-machine path.
+    """Batched lower bounds over a (machines x layers) grid.
 
-    The eligibility contract matches :func:`evaluate_grid`: all
-    simulators share one :func:`family_key` and pass :func:`grid_gap`
-    (strictly stronger than the bounds path needs -- a machine without
-    a lowerable network model simply falls back, bit-identically);
-    every layer passes :func:`lane_covered`.  Each floor pair is
-    bit-identical to the 1-D :func:`~repro.core.vectorized.bounds_batch`
-    lane and the scalar ``layer_bounds`` derivation: the mapping and
-    traffic columns come from the same verbatim kernel stages, and
-    every per-spec scalar becomes an ``(m, 1)`` column so the
-    elementwise IEEE operations are unchanged.
+    Returns ``(rows, reasons)``.  ``rows[j]`` is aligned with
+    ``layers`` and holds ``roofline.time_lower_bound`` floats when
+    ``energies`` is ``None``, else ``(time_floor_s, energy_floor_mj)``
+    tuples of ``dse.bounds.layer_bounds`` (``energies[j]`` is machine
+    ``j``'s compute-energy model).  A ``None`` row comes with
+    ``reasons[j]`` naming why machine ``j`` must take the scalar
+    helpers: a :func:`~.vectorized.bounds_coverage_gap` (no network
+    model is needed), the parameter budget, or the exactness screen.
+
+    All specs must share one :func:`family_key` shape (trivially true
+    for m = 1); every layer must pass :func:`lane_covered`.  Each floor
+    is bit-identical to the scalar derivation: the mapping and traffic
+    columns come from the same kernel stages, and every per-spec
+    scalar becomes an ``(m, 1)`` column so the elementwise IEEE
+    operations are unchanged.
     """
     n = len(layers)
-    rows: list = [None] * len(simulators)
-    reasons: list = [None] * len(simulators)
+    m = len(specs)
+    rows: list = [None] * m
+    reasons: list = [
+        bounds_coverage_gap(
+            spec, None if energies is None else energies[j]
+        )
+        or _budget_gap(spec)
+        for j, spec in enumerate(specs)
+    ]
     if n == 0:
-        return [[] for _ in simulators], reasons
-
-    shared = _shared_lower(layers)
-    kept: list[int] = []
-    for j, simulator in enumerate(simulators):
-        if _screen_spec(simulator.spec, shared):
-            kept.append(j)
-        else:
-            reasons[j] = "exactness screen declined the grid batch"
-    if not kept:
+        return [[] if r is None else None for r in reasons], reasons
+    if all(reason is not None for reason in reasons):
         return rows, reasons
 
-    sims = [simulators[j] for j in kept]
-    specs = [s.spec for s in sims]
-    d = _grid_lower(specs, shared, n, layer_by_layer)
+    shared = _shared_lower(layers)
+    kept = _screen(specs, shared, reasons)
+    if not kept:
+        return rows, reasons
+    specs = [specs[j] for j in kept]
+    d = _grid_lower(specs, shared, layer_by_layer)
 
     with np.errstate(all="ignore"):
-        # --- time floor (mirror of _floor_columns, columns per spec)
+        # --- time floor (mirror of roofline.mapped_time_floor_s)
         comp_floor = d.cycles * _float_col(
             [spec.cycle_time_s for spec in specs]
         )
         if specs[0].gb_weight_egress_gbps and specs[0].gb_ifmap_egress_gbps:
             gb_floor = np.maximum(
                 _link_seconds(
-                    d.gw,
-                    _float_col([s.gb_weight_egress_gbps for s in specs]),
+                    d.gw, _floor_col([s.gb_weight_egress_gbps for s in specs])
                 ),
                 _link_seconds(
-                    d.gi,
-                    _float_col([s.gb_ifmap_egress_gbps for s in specs]),
+                    d.gi, _floor_col([s.gb_ifmap_egress_gbps for s in specs])
                 ),
             )
         else:
             gb_floor = _link_seconds(
-                d.gb_send, _float_col([s.gb_egress_gbps for s in specs])
+                d.gb_send, _floor_col([s.gb_egress_gbps for s in specs])
             )
         ingress_floor = _link_seconds(
-            d.out, _float_col([s.gb_ingress_gbps for s in specs])
+            d.out, _floor_col([s.gb_ingress_gbps for s in specs])
         )
         dram_floor = _link_seconds(
             d.dread + d.dwrite,
-            _float_col([s.dram_bandwidth_gbps for s in specs]),
+            _floor_col([s.dram_bandwidth_gbps for s in specs]),
         )
         floor = np.maximum(comp_floor, gb_floor)
         floor = np.maximum(floor, ingress_floor)
         floor = np.maximum(floor, dram_floor)
+        floors_l = floor.tolist()
+        if energies is None:
+            for jj, j in enumerate(kept):
+                rows[j] = floors_l[jj]
+            return rows, reasons
 
-        # --- energy floor (mirror of bounds_batch's unchecked branch)
-        energies = [sim.compute_energy for sim in sims]
+        # --- energy floor: MAC + GB + DRAM energy (no simulation)
+        models = [energies[j] for j in kept]
         pes_active = d.ch_active * d.pe_active_per_chiplet
         active_pe_cycles = pes_active * d.cycles
         picojoules = (
-            d.macs * _float_col([ce.mac.energy_per_mac_pj for ce in energies])
+            d.macs * _float_col([ce.mac.energy_per_mac_pj for ce in models])
             + active_pe_cycles
-            * _float_col([ce.mac.leakage_per_pe_cycle_pj for ce in energies])
+            * _float_col([ce.mac.leakage_per_pe_cycle_pj for ce in models])
         )
         mac_mj = picojoules * 1e-9
         gb_reads = d.gb_send + d.dwrite
         gb_writes = d.out + d.dread
         gb_mj = (
             (gb_reads + gb_writes)
-            * _float_col([ce.gb.energy_pj_per_byte for ce in energies])
+            * _float_col([ce.gb.energy_pj_per_byte for ce in models])
         ) * 1e-9
         dram_mj = (
             ((d.dread + d.dwrite) * 8)
-            * _float_col([ce.dram.energy_pj_per_bit for ce in energies])
+            * _float_col([ce.dram.energy_pj_per_bit for ce in models])
         ) * 1e-9
-        energy = (mac_mj + gb_mj) + dram_mj
-
-        floors_l = floor.tolist()
-        energy_l = energy.tolist()
+        energy_l = ((mac_mj + gb_mj) + dram_mj).tolist()
     for jj, j in enumerate(kept):
         rows[j] = list(zip(floors_l[jj], energy_l[jj]))
     return rows, reasons
+
+
+def bounds_row(
+    spec: "AcceleratorSpec",
+    layers: "Sequence[ConvLayer]",
+    *,
+    compute_energy=None,
+    layer_by_layer: bool = False,
+) -> list:
+    """One machine's floors aligned with ``layers``: an m = 1
+    :func:`bounds_grid` over the covered lanes.  Entries are time
+    floors, or ``(time, energy)`` pairs when ``compute_energy`` is
+    given; ``None`` entries -- sieved lanes, or every lane when the
+    machine is declined -- need the scalar helper."""
+    out: list = [None] * len(layers)
+    vec = [i for i, layer in enumerate(layers) if lane_covered(layer)]
+    if vec:
+        rows, _ = bounds_grid(
+            [spec],
+            [layers[i] for i in vec],
+            energies=None if compute_energy is None else [compute_energy],
+            layer_by_layer=layer_by_layer,
+        )
+        if rows[0] is not None:
+            for i, value in zip(vec, rows[0]):
+                out[i] = value
+    return out

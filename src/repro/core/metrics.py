@@ -2,7 +2,7 @@
 
 Besides the result dataclasses this module defines the *lane row*: a
 :class:`LayerResult` flattened into one tuple of its leaf values, in
-:data:`LANE_FIELDS` order.  The array kernels publish their results as
+:data:`LANE_FIELDS` order.  The array kernel publishes its results as
 one column per field (:class:`LaneStore`) and hand out lazy lanes that
 build the object graph only when someone reads an attribute; the
 serializer and the :class:`ModelResult` folds read lane rows instead,

@@ -1,13 +1,12 @@
-"""Persistent warm-worker execution pool for the sweep engine.
+"""Persistent warm-worker execution pool: the sweep engine's one
+parallel executor.
 
-The fault-tolerant runner of PR 2 launches **one fresh OS process per
-job attempt**: bulletproof isolation, but for the many-small-job
-campaigns that now dominate (DSE candidate evaluation, per-trial
-degraded configurations in ``repro faults``) the spawn + pickling
-overhead rivals the analytical model itself.  This module provides the
-standard fix -- a pool of **long-lived worker processes** looping over
-a job queue -- without weakening any of the isolation semantics the
-resilience layer promises:
+Launching one fresh OS process per job attempt gives bulletproof
+isolation, but for many-small-job campaigns (DSE candidate evaluation,
+per-trial degraded configurations in ``repro faults``) the spawn +
+pickling overhead rivals the analytical model itself.  This module
+provides the standard fix -- a pool of **long-lived worker processes**
+looping over a job queue -- with the same isolation semantics:
 
 * **Warm workers.**  Each worker keeps an in-process
   :class:`~repro.core.batch.ResultCache` memory tier and a memo of
@@ -33,11 +32,10 @@ resilience layer promises:
 
 The pool is deliberately policy-free: retries, backoff, ``on_error``
 semantics, invariant auditing and campaign manifests all live in
-:class:`repro.core.batch.SweepRunner`, which drives this pool in its
-default parallel path (``pool=False`` restores the one-process-per-
-attempt behaviour).  Determinism is untouched: workers execute the
-same pure analytical model, so pooled, per-attempt-process and serial
-campaigns produce bit-identical results (pinned by
+:class:`repro.core.batch.SweepRunner`, which drives this pool on its
+parallel path.  Determinism is untouched: workers execute the same
+pure analytical model, so pooled and serial campaigns produce
+bit-identical results (pinned by
 ``tests/core/test_pool.py`` and ``benchmarks/bench_pool.py``).
 """
 
@@ -472,7 +470,7 @@ class WorkerPool:
 
         The batch is pickled *here*, lazily -- a job that cannot be
         pickled raises immediately (the caller treats that as a
-        structural pool failure, exactly like the per-attempt path).
+        structural pool failure and falls back to serial).
         Returns ``False`` when the worker turned out to be dead (it is
         respawned and nothing was dispatched -- the caller simply
         retries on a fresh worker); ``True`` on success.

@@ -199,11 +199,12 @@ def time_lower_bounds(
 ) -> list[float]:
     """:func:`time_lower_bound` over many layers, batched.
 
-    Routes through the NumPy kernel's :func:`~repro.core.vectorized.
-    time_floors_batch` when enabled (bit-identical by construction);
-    lanes outside kernel coverage -- and the whole batch when the spec
-    is uncovered -- fall back to the scalar helper, so the output is
-    always element-wise equal to ``[time_lower_bound(spec, l) for l in
+    Routes the covered lanes through the array kernel's
+    :func:`~repro.core.grid.bounds_grid` with m = 1 when enabled
+    (bit-identical by construction); sieved lanes -- and every lane
+    when the spec is outside coverage or the exactness screen declines
+    the batch -- take the scalar helper, so the output is always
+    element-wise equal to ``[time_lower_bound(spec, l) for l in
     layers]``.  ``vectorize=None`` defers to the campaign default
     (:func:`repro.core.batch.default_vectorize`).
     """
@@ -214,13 +215,11 @@ def time_lower_bounds(
         from .batch import default_vectorize
 
         vectorize = default_vectorize()
-    floors: "list[float | None] | None" = None
+    floors: "list[float | None]" = [None] * len(layers)
     if vectorize:
-        from .vectorized import time_floors_batch
+        from .grid import bounds_row
 
-        floors = time_floors_batch(spec, layers, layer_by_layer=layer_by_layer)
-    if floors is None:
-        floors = [None] * len(layers)
+        floors = bounds_row(spec, layers, layer_by_layer=layer_by_layer)
     return [
         time_lower_bound(spec, layer, layer_by_layer=layer_by_layer)
         if floor is None

@@ -1,16 +1,19 @@
-"""NumPy-batched evaluation kernel, bit-identical to the scalar path.
+"""Lowering for the NumPy array kernel, bit-identical to the scalar path.
 
 The analytical cost model is closed-form arithmetic over layer shapes
 (SCALE-Sim evaluates the same class of model the same way), so a batch
 of (layer, machine) pairs lowers naturally into dense per-layer
-parameter arrays evaluated in one pass of array math.  This module is
-that fast path: :func:`simulate_layers_vectorized` reproduces
-``Simulator.simulate_layer`` for a whole batch of layers, and
-:func:`time_floors_batch` / :func:`bounds_batch` reproduce the
-roofline/DSE lower bounds.
+parameter arrays evaluated in one pass of array math.  The one array
+kernel is :func:`repro.core.grid.evaluate_grid` (and
+:func:`~repro.core.grid.bounds_grid` for the roofline/DSE floors); a
+single machine is simply a grid with m = 1.  This module holds what the
+kernel is built from: the coverage registry, the memoized per-table
+lowering, the exactness screen, and the mapping and traffic stages --
+plus :func:`simulate_layers_vectorized`, the per-machine entry point
+that reproduces ``Simulator.simulate_layer`` for a whole batch.
 
-**The scalar path stays the oracle.**  Every result this kernel emits
-is bit-identical to the scalar simulator -- not merely close.  Three
+**The scalar path stays the oracle.**  Every result the kernel emits
+is bit-identical to the scalar simulator -- not merely close.  Two
 rules make that possible:
 
 * Every floating-point expression mirrors the scalar source's
@@ -22,34 +25,22 @@ rules make that possible:
   on ``int / int`` true division (Python computes the correctly
   rounded quotient of the exact integers; NumPy converts first) and
   NumPy silently wraps int64 products.  Both hazards vanish below
-  2**53, so every integer product is overflow-checked
-  (:func:`_checked_mul`) and any lane whose intermediates could cross
-  2**53 is *flagged* and re-evaluated by the scalar oracle instead of
-  risking a divergent answer.
-* Lane-dependent control flow (zero-bandwidth links, refetch branches,
-  the halo factor) is expressed with masked selects whose branches
-  compute the same expressions the scalar code would -- including the
-  ``inf`` (never ``nan``) semantics of dead links, which share the
-  scalar path's per-(spec, link) warning dedup.
+  2**53.  **Screen or scalar:** :func:`_screen_spec` proves per
+  (machine, layer table) that no intermediate can reach those limits;
+  a batch it cannot prove exact goes lane by lane to the scalar
+  oracle instead of risking a divergent answer.
 
 A **coverage registry** (:func:`coverage_gap`) declares exactly which
 machine features the kernel understands; anything else -- a subclassed
 simulator, an unregistered network-energy model, a non-stock energy
 model -- structurally falls back to the scalar path with a reason
 string the sweep runner surfaces in ``campaign_report()``.
-
-The kernel also evaluates the invariant audit
-(:mod:`repro.core.invariants`) in array form with exact verdict
-equivalence, then marks clean results *pre-audited* so
-``audit_model_result`` does not re-pay the scalar audit per layer.
-Dirty lanes are never marked; under a strict simulator the whole batch
-bails out (returns ``None``) so the scalar loop reproduces the exact
-raise and its side effects.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -65,10 +56,9 @@ from ..energy.dram import DramModel
 from ..energy.mac import MacEnergyModel
 from .accelerator import AcceleratorSpec
 from .dataflow import DataflowKind
-from .invariants import DEFAULT_REL_TOL
 from .layer import ACTIVATION_BITS, PSUM_BITS, WEIGHT_BITS, ConvLayer
-from .metrics import LaneStore, LayerResult, ModelResult
-from .simulator import _MIN_BANDWIDTH_GBPS, Simulator, _warn_zero_bandwidth
+from .metrics import LayerResult, ModelResult
+from .simulator import Simulator
 from .traffic import NetworkCapabilities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,13 +71,11 @@ __all__ = [
     "register_network_lowerer",
     "simulate_layers_vectorized",
     "simulate_model_vectorized",
-    "time_floors_batch",
-    "bounds_batch",
 ]
 
 #: Above this, int64 -> float64 conversion (and therefore NumPy's
-#: convert-then-divide ``int / int``) stops being exact; lanes whose
-#: integer intermediates reach it fall back to the scalar oracle.
+#: convert-then-divide ``int / int``) stops being exact; batches whose
+#: integer intermediates could reach it go to the scalar oracle.
 _EXACT_INT = float(2**53)
 #: Safety margin for float64 -> int64 truncating casts (C cast is
 #: undefined at 2**63; Python ``int()`` is not).
@@ -307,39 +295,18 @@ def coverage_gap(simulator) -> str | None:
     return None
 
 
-def bounds_coverage_gap(simulator) -> str | None:
-    """Coverage for the DSE lower-bound path (no network model needed)."""
-    if np is None:
-        return "numpy unavailable"
-    gap = spec_coverage_gap(simulator.spec)
-    if gap is not None:
-        return gap
-    return _compute_energy_gap(simulator.compute_energy)
+def bounds_coverage_gap(spec, compute_energy=None) -> str | None:
+    """Coverage for the lower-bound path: no network model needed, and
+    time-only floors (``compute_energy=None``) need no energy model."""
+    gap = spec_coverage_gap(spec)
+    if gap is None and compute_energy is not None:
+        gap = _compute_energy_gap(compute_energy)
+    return gap
 
 
 # ----------------------------------------------------------------------
-# Exactness helpers
+# Shared lowering and the exactness screen
 # ----------------------------------------------------------------------
-def _checked_mul(a, b, flag, limit=_EXACT_INT):
-    """Integer product with an overflow/inexactness lane flag.
-
-    Flags a lane iff the true product reaches ``limit``: the float
-    approximation of exact (< 2**53) factors is the correctly rounded
-    product, and rounding cannot pull a value >= 2**53 below 2**53
-    (2**53 is representable), so the flag test is conservative-exact.
-    Flagged lanes are re-run by the scalar oracle, so a wrapped int64
-    product in them is garbage that is never observed.
-    """
-    flag |= np.multiply(a, b, dtype=np.float64) >= limit
-    return a * b
-
-
-def _unchecked_mul(a, b, flag, limit=None):  # noqa: ARG001 - same shape
-    """Plain product, used when :func:`_screen_exact` proved the whole
-    batch cannot reach any overflow/inexactness limit."""
-    return a * b
-
-
 #: Screen limits carry a relative margin absorbing float rounding: a
 #: bound is a product of < 16 exactly-converted factors, each multiply
 #: correctly rounded, so the computed value is within (1 +/- 1e-14) of
@@ -355,8 +322,7 @@ class _SharedLower:
 
     Holds the raw (n, 9) dimension matrix, the float bound columns the
     exactness screen re-checks per spec, and -- lazily -- the derived
-    shape columns of :func:`_lower_dims`'s unchecked mode (valid only
-    for specs the screen passes).
+    shape columns (valid only for specs the screen passes).
     """
 
     __slots__ = (
@@ -365,37 +331,37 @@ class _SharedLower:
         "cols",
     )
 
+    def __init__(self, ints):
+        self.ints = ints
+        f = ints.astype(np.float64)
+        c = f[:, 0]
+        k = f[:, 1]
+        r = f[:, 2]
+        s = f[:, 3]
+        b = f[:, 8]
+        bhw = (b * f[:, 4]) * f[:, 5]
+        krs = (k * r) * s
+        wb = krs * c  # weight bytes (WEIGHT_BITS == 8)
+        ib = bhw * c  # ifmap bytes (ACTIVATION_BITS == 8)
+        d_col = ib * krs  # macs / cycles and every derived product
+        self.wb = wb
+        self.bhw = bhw
+        self.ints_max = float(ints.max())
+        self.d_max = float(d_col.max())
+        self.wb_max = float(wb.max())
+        self.ibk_max = float((ib * k).max())
+        self.bhwk_max = float((bhw * k).max())
+        self.ibrs_max = float((ib * (r * s)).max())
+        self.cols = None
+
 
 #: shape-key-tuple -> _SharedLower; FIFO-bounded.  N configs sweeping
-#: the same model lower its layer table exactly once.
+#: the same model lower its layer table exactly once.  Reads are
+#: lock-free; the check-evict-insert step holds the lock, so threads
+#: filling the memo concurrently never evict the same entry twice.
 _SHARED_MEMO: "dict[tuple, _SharedLower]" = {}
 _SHARED_MEMO_LIMIT = 64
-
-
-def _shared_from_ints(ints) -> _SharedLower:
-    shared = _SharedLower()
-    shared.ints = ints
-    f = ints.astype(np.float64)
-    c = f[:, 0]
-    k = f[:, 1]
-    r = f[:, 2]
-    s = f[:, 3]
-    b = f[:, 8]
-    bhw = (b * f[:, 4]) * f[:, 5]
-    krs = (k * r) * s
-    wb = krs * c  # weight bytes (WEIGHT_BITS == 8)
-    ib = bhw * c  # ifmap bytes (ACTIVATION_BITS == 8)
-    d_col = ib * krs  # macs / cycles and every _lower_dims product
-    shared.wb = wb
-    shared.bhw = bhw
-    shared.ints_max = float(ints.max())
-    shared.d_max = float(d_col.max())
-    shared.wb_max = float(wb.max())
-    shared.ibk_max = float((ib * k).max())
-    shared.bhwk_max = float((bhw * k).max())
-    shared.ibrs_max = float((ib * (r * s)).max())
-    shared.cols = None
-    return shared
+_SHARED_MEMO_LOCK = threading.Lock()
 
 
 def _shared_lower(layers) -> _SharedLower:
@@ -404,8 +370,7 @@ def _shared_lower(layers) -> _SharedLower:
     The key is the tuple of shape keys -- the full nine-dimension
     identity of every lane -- so equal tables (the common case across
     a config sweep) hit regardless of layer names or model identity.
-    An :class:`OverflowError` from a dimension too large for int64
-    propagates unmemoized, exactly like the direct lowering.
+    Callers sieve layers with :func:`_fits_int64` first.
     """
     key = tuple(layer.shape_key for layer in layers)
     shared = _SHARED_MEMO.get(key)
@@ -413,25 +378,27 @@ def _shared_lower(layers) -> _SharedLower:
         return shared
     ints = np.array([_DIM_GET(l) for l in layers], dtype=np.int64)
     ints.setflags(write=False)
-    shared = _shared_from_ints(ints)
-    if len(_SHARED_MEMO) >= _SHARED_MEMO_LIMIT:
-        _SHARED_MEMO.pop(next(iter(_SHARED_MEMO)))
-    _SHARED_MEMO[key] = shared
+    shared = _SharedLower(ints)
+    with _SHARED_MEMO_LOCK:
+        raced = _SHARED_MEMO.get(key)
+        if raced is not None:
+            return raced
+        if len(_SHARED_MEMO) >= _SHARED_MEMO_LIMIT:
+            del _SHARED_MEMO[next(iter(_SHARED_MEMO))]
+        _SHARED_MEMO[key] = shared
     return shared
 
 
 def _shared_cols(shared: _SharedLower) -> _Cols:
-    """Derived shape columns in unchecked mode, computed once per
-    layer table.  Only valid for specs :func:`_screen_spec` passes --
-    the screen proves no product can reach any overflow limit, so the
-    plain int64 arithmetic here equals the checked mode's output
-    lane-for-lane."""
+    """Derived shape columns, computed once per layer table.  Only
+    valid for specs :func:`_screen_spec` passes -- the screen proves
+    no product can reach any overflow limit, so plain int64
+    arithmetic is exact here."""
     cols = shared.cols
     if cols is not None:
         return cols
     ints = shared.ints
     d = _Cols()
-    d.checked = False
     d.c = ints[:, 0]
     d.k = ints[:, 1]
     d.r = ints[:, 2]
@@ -462,7 +429,6 @@ def _shared_cols(shared: _SharedLower) -> _Cols:
 _DIM_SLOTS = (
     "c", "k", "r", "s", "h", "w", "stride", "groups", "batch",
     "e", "f", "macs", "wbytes", "ibytes", "obytes", "ocount", "psum_el",
-    "checked",
 )
 
 
@@ -480,19 +446,20 @@ def _copy_cols(source: _Cols) -> _Cols:
 
 
 def _screen_spec(spec: AcceleratorSpec, sh: _SharedLower) -> bool:
-    """Prove that no lane of this batch can overflow any check.
+    """Prove that no lane of this batch can leave the exact range.
 
     Every integer the kernel multiplies is a product of same-lane
     factors from {batch, e<=h, f<=w, c_per_group<=c, k, r, s, byte
     widths, spec mapping parameters}, so per-lane worst-case bound
     columns -- computed in float64 with :data:`_SCREEN_MARGIN`
-    absorbing the rounding -- dominate every checked product of that
-    lane.  When every bound maximum sits below its limit the kernel
-    runs with :func:`_unchecked_mul` and skips all fences -- the
-    common case for realistic layers, and a large share of the
-    per-batch array ops.  When the screen fails, the per-lane checked
-    mode runs exactly as before; the screen can only ever *disable*
-    checks it has proven redundant, never change a result.
+    absorbing the rounding -- dominate every product of that lane.
+    When every bound maximum sits below its limit, plain int64
+    arithmetic cannot wrap and every ``int / int`` division numerator
+    stays below 2**53, where NumPy's convert-then-divide equals
+    Python's exact quotient.  A batch the screen declines goes lane
+    by lane to the scalar oracle -- the common case for realistic
+    layers passes, so the screen never changes a result, only where
+    it is computed.
     """
     if sh.ints_max >= _EXACT_INT:
         return False
@@ -532,59 +499,18 @@ def _screen_spec(spec: AcceleratorSpec, sh: _SharedLower) -> bool:
     return max(wrec, itot) < limit
 
 
-def _screen_exact(spec: AcceleratorSpec, ints) -> bool:
-    """:func:`_screen_spec` over a raw (n, 9) dimension matrix."""
-    return _screen_spec(spec, _shared_from_ints(ints))
-
-
 def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _close_lanes(observed, expected, rel_tol):
-    """Vector mirror of ``invariants._close`` (math.isclose formula)."""
-    either_inf = np.isinf(observed) | np.isinf(expected)
-    agree = np.abs(observed - expected) <= np.maximum(
-        rel_tol * np.maximum(np.abs(observed), np.abs(expected)), 1e-18
-    )
-    return np.where(either_inf, observed == expected, agree)
-
-
-def _transfer_lanes(total_bytes, bandwidth_gbps, link, spec):
-    """Vector mirror of ``simulator._transfer_time_s`` for one link.
-
-    The bandwidth is a spec scalar, so the dead-link branch is uniform
-    across lanes: the masked select keeps ``bytes <= 0`` lanes at 0.0
-    and never multiplies 0 by inf (the scalar path's semantics --
-    ``inf`` for a pending transfer, never ``nan``).
-    """
-    if bandwidth_gbps <= _MIN_BANDWIDTH_GBPS:
-        positive = total_bytes > 0
-        if positive.any():
-            first = total_bytes[int(np.argmax(positive))]
-            _warn_zero_bandwidth(first.item(), bandwidth_gbps, link, spec)
-        return np.where(positive, np.inf, 0.0)
-    denominator = bandwidth_gbps * 1e9
-    return np.where(total_bytes <= 0, 0.0, total_bytes * 8 / denominator)
-
-
-def _floor_lanes(total_bytes, bandwidth_gbps):
-    """Vector mirror of ``invariants._transfer_lower_bound_s``."""
-    if bandwidth_gbps <= 0:
-        return np.zeros(total_bytes.shape)
-    return np.where(total_bytes <= 0, 0.0, total_bytes * 8 / (bandwidth_gbps * 1e9))
-
-
 def _precheck(layer) -> bool:
     """Can this layer be lowered at all?  Exact type only (subclasses
-    may override the derived-dimension properties); the dimension
-    magnitude check happens vectorized inside :func:`_lower_dims`.
-    """
+    may override the derived-dimension properties)."""
     return type(layer) is ConvLayer
 
 
 def _fits_int64(layer) -> bool:
-    """Slow-path sieve when a base dimension cannot even enter int64."""
+    """Sieve for layers whose base dimensions cannot even enter int64."""
     d = layer.__dict__
     limit = 9223372036854775808  # 2**63
     return (
@@ -617,75 +543,19 @@ class _Cols:
         # traffic
         "gw", "gi", "pw", "pi", "cw", "ci", "out", "psum", "dread", "dwrite",
         "gb_send", "pe_receive",
-        # bookkeeping
-        "flag", "checked",
     )
 
 
 _DIM_GET = attrgetter("c", "k", "r", "s", "h", "w", "stride", "groups", "batch")
 
 
-def _lower_dims(layers: Sequence[ConvLayer], flag, spec) -> _Cols:
-    """Base dims as int64 columns plus the derived shape quantities.
-
-    The derived columns mirror the ``ConvLayer`` property formulas
-    exactly; every multiplication is overflow-checked -- unless
-    :func:`_screen_spec` proves the whole batch safe -- so a layer
-    whose MAC count crosses 2**53 flags its lane instead of wrapping.
-    The screened (unchecked) columns come from the per-layer-table
-    memo (:func:`_shared_lower`), so N machines sweeping the same
-    model lower it once.
-    """
-    shared = _shared_lower(layers)
-    if _screen_spec(spec, shared):
-        return _copy_cols(_shared_cols(shared))
-    d = _Cols()
-    ints = shared.ints
-    d.checked = True
-    # A base dim at or above 2**53 would make derived formulas
-    # inexact before any product: flag the lane wholesale.
-    flag |= (ints >= 9007199254740992).any(axis=1)
-    d.c = ints[:, 0]
-    d.k = ints[:, 1]
-    d.r = ints[:, 2]
-    d.s = ints[:, 3]
-    d.h = ints[:, 4]
-    d.w = ints[:, 5]
-    d.stride = ints[:, 6]
-    d.groups = ints[:, 7]
-    d.batch = ints[:, 8]
-    d.e = (d.h - d.r) // d.stride + 1
-    d.f = (d.w - d.s) // d.stride + 1
-    c_per_group = d.c // d.groups
-    mul = _checked_mul
-    ef = mul(mul(d.batch, d.e, flag), d.f, flag)
-    d.macs = mul(
-        mul(mul(ef, d.k, flag), d.r, flag),
-        mul(d.s, c_per_group, flag),
-        flag,
-    )
-    weight_count = mul(
-        mul(d.k, d.r, flag), mul(d.s, c_per_group, flag), flag
-    )
-    d.wbytes = mul(weight_count, WEIGHT_BITS, flag) // 8
-    ifmap_count = mul(
-        mul(d.batch, d.h, flag), mul(d.w, d.c, flag), flag
-    )
-    d.ibytes = mul(ifmap_count, ACTIVATION_BITS, flag) // 8
-    d.ocount = mul(ef, d.k, flag)
-    d.obytes = mul(d.ocount, ACTIVATION_BITS, flag) // 8
-    d.psum_el = PSUM_BITS // 8
-    return d
-
-
 # ----------------------------------------------------------------------
 # Mapping (vector mirrors of repro.core.mapping's three mappers)
 # ----------------------------------------------------------------------
-def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
+def _map_lanes(spec, d: _Cols) -> None:
     p = spec.mapping_parameters()
-    mul = _checked_mul if d.checked else _unchecked_mul
     c_per_group = d.c // d.groups
-    ef_total = mul(mul(d.batch, d.e, flag), d.f, flag)
+    ef_total = (d.batch * d.e) * d.f
 
     if spec.dataflow is DataflowKind.SPACX_OS:
         ef_parallel = p.ef_group * p.n_pe_groups
@@ -697,37 +567,31 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
             _ceil_div(d.k, k_parallel0),
         )
         k1_intra = np.maximum(1, k1_intra)
-        k_parallel = mul(k_parallel0, k1_intra, flag)
+        k_parallel = k_parallel0 * k1_intra
         d.ef_waves = _ceil_div(ef_total, ef_parallel)
         d.k_waves = _ceil_div(d.k, k_parallel)
         k_active = np.minimum(d.k, k_parallel)
-        cycles_per_wave = mul(
-            mul(d.r, d.s, flag), _ceil_div(c_per_group, p.mac_vector_width), flag
+        cycles_per_wave = (d.r * d.s) * _ceil_div(
+            c_per_group, p.mac_vector_width
         )
-        d.cycles = mul(mul(d.ef_waves, d.k_waves, flag), cycles_per_wave, flag)
+        d.cycles = (d.ef_waves * d.k_waves) * cycles_per_wave
         d.ch_active = np.minimum(
             p.chiplets,
-            mul(
-                mul(chiplets_per_group_used, k1_intra, flag),
-                np.minimum(
-                    p.n_chiplet_groups,
-                    _ceil_div(k_active, mul(p.k_group, k1_intra, flag)),
-                ),
-                flag,
+            (chiplets_per_group_used * k1_intra)
+            * np.minimum(
+                p.n_chiplet_groups,
+                _ceil_div(k_active, p.k_group * k1_intra),
             ),
         )
         d.pe_active_per_chiplet = np.minimum(
             p.pes_per_chiplet,
-            mul(
-                np.minimum(p.k_group, k_active),
-                np.minimum(p.n_pe_groups, _ceil_div(ef_active, p.ef_group)),
-                flag,
-            ),
+            np.minimum(p.k_group, k_active)
+            * np.minimum(p.n_pe_groups, _ceil_div(ef_active, p.ef_group)),
         )
         w_sharers = chiplets_per_group_used
         d.w_sharers = np.maximum(1, w_sharers)
         d.i_sharers = np.maximum(1, np.minimum(p.k_group, k_active))
-        slice_bytes = mul(mul(d.r, d.s, flag), c_per_group, flag)
+        slice_bytes = (d.r * d.s) * c_per_group
         d.c_chunks = np.maximum(1, _ceil_div(slice_bytes, p.pe_buffer_bytes // 2))
         d.w_refetch = 1
         d.i_refetch = np.maximum(1, _ceil_div(d.k_waves, d.groups))
@@ -751,13 +615,9 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
         c_slices_per_pe = _ceil_div(c_slices, pes_for_c)
         d.ef_waves = _ceil_div(ef_total, pes_for_ef)
         d.k_waves = _ceil_div(k_per_chiplet, pes_for_k)
-        d.cycles = mul(
-            mul(mul(mul(d.k_waves, d.ef_waves, flag), d.r, flag), d.s, flag),
-            c_slices_per_pe,
-            flag,
-        )
+        d.cycles = (((d.k_waves * d.ef_waves) * d.r) * d.s) * c_slices_per_pe
         weight_bytes_per_pe = _ceil_div(
-            mul(mul(mul(k_per_chiplet, d.r, flag), d.s, flag), c_per_group, flag),
+            ((k_per_chiplet * d.r) * d.s) * c_per_group,
             d.pe_active_per_chiplet,
         )
         d.w_refetch = np.where(
@@ -765,9 +625,7 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
             1,
             _ceil_div(weight_bytes_per_pe, p.pe_buffer_bytes),
         )
-        ifmap_bytes_per_pe = mul(
-            mul(d.h, d.w, flag), _ceil_div(d.c, pes_for_c), flag
-        )
+        ifmap_bytes_per_pe = (d.h * d.w) * _ceil_div(d.c, pes_for_c)
         d.i_refetch = np.where(
             ifmap_bytes_per_pe <= p.pe_buffer_bytes,
             1,
@@ -791,13 +649,11 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
     pes_used = np.minimum(total_pes, ef_active * k_spread)
     d.ch_active = np.minimum(p.chiplets, _ceil_div(pes_used, p.pes_per_chiplet))
     d.pe_active_per_chiplet = np.minimum(p.pes_per_chiplet, pes_used)
-    cycles_per_wave = mul(
-        mul(d.r, d.s, flag), _ceil_div(c_per_group, p.mac_vector_width), flag
-    )
-    d.cycles = mul(mul(d.ef_waves, d.k_waves, flag), cycles_per_wave, flag)
+    cycles_per_wave = (d.r * d.s) * _ceil_div(c_per_group, p.mac_vector_width)
+    d.cycles = (d.ef_waves * d.k_waves) * cycles_per_wave
     d.w_sharers = np.maximum(1, ef_active)
     d.i_sharers = 1
-    slice_bytes = mul(mul(d.r, d.s, flag), c_per_group, flag)
+    slice_bytes = (d.r * d.s) * c_per_group
     d.c_chunks = np.maximum(1, _ceil_div(slice_bytes, p.pe_buffer_bytes // 2))
     d.w_refetch = d.ef_waves
     d.i_refetch = 1
@@ -810,19 +666,16 @@ def _map_lanes(spec: AcceleratorSpec, d: _Cols, flag) -> None:
 # ----------------------------------------------------------------------
 # Traffic (vector mirror of repro.core.traffic.derive_traffic)
 # ----------------------------------------------------------------------
-def _traffic_lanes(
-    spec: AcceleratorSpec, d: _Cols, flag, layer_by_layer: bool
-) -> None:
-    mul = _checked_mul if d.checked else _unchecked_mul
+def _traffic_lanes(spec, d: _Cols, layer_by_layer: bool) -> None:
     caps = spec.capabilities
 
-    weight_transmissions = mul(d.wbytes, d.w_refetch, flag)
-    weight_receives = mul(weight_transmissions, d.w_sharers, flag)
+    weight_transmissions = d.wbytes * d.w_refetch
+    weight_receives = weight_transmissions * d.w_sharers
     d.gw = weight_transmissions if caps.weight_broadcast else weight_receives
 
     if spec.dataflow is DataflowKind.WEIGHT_STATIONARY:
-        ifmap_transmissions = mul(d.ibytes, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+        ifmap_transmissions = d.ibytes * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_transmissions if caps.ifmap_broadcast else ifmap_receives
     elif spec.dataflow is DataflowKind.SPACX_OS:
         if caps.ifmap_reuse_multicast:
@@ -840,45 +693,34 @@ def _traffic_lanes(
                 (d.r * d.s).astype(np.float64), duplication
             )
             duplication = np.where(d.r <= 1, 1.0, duplication)
-            per_sweep_f = d.ibytes.astype(np.float64) * duplication
-            if d.checked:
-                flag |= per_sweep_f >= _CAST_LIMIT
-            per_sweep = per_sweep_f.astype(np.int64)
-        ifmap_transmissions = mul(per_sweep, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+            per_sweep = (d.ibytes.astype(np.float64) * duplication).astype(
+                np.int64
+            )
+        ifmap_transmissions = per_sweep * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_transmissions
     else:
         # OS(e/f): _ifmap_stream_bytes
         fresh_cols = np.minimum(d.s, d.stride)
-        per_position = mul(mul(d.r, fresh_cols, flag), d.c, flag)
-        row_starts = mul(
-            mul(mul(d.e, d.r, flag), np.maximum(0, d.s - fresh_cols), flag),
-            d.c,
-            flag,
-        )
-        total = mul(
-            d.batch,
-            mul(mul(d.e, d.f, flag), per_position, flag) + row_starts,
-            flag,
-        )
+        per_position = (d.r * fresh_cols) * d.c
+        row_starts = ((d.e * d.r) * np.maximum(0, d.s - fresh_cols)) * d.c
+        total = d.batch * ((d.e * d.f) * per_position + row_starts)
         per_sweep = np.maximum(total, d.ibytes)
-        ifmap_transmissions = mul(per_sweep, d.i_refetch, flag)
-        ifmap_receives = mul(ifmap_transmissions, d.i_sharers, flag)
+        ifmap_transmissions = per_sweep * d.i_refetch
+        ifmap_receives = ifmap_transmissions * d.i_sharers
         d.gi = ifmap_receives
 
     d.pw = weight_receives
     d.pi = ifmap_receives
-    d.cw = mul(weight_transmissions, d.w_fanout, flag)
-    d.ci = mul(ifmap_transmissions, d.i_fanout, flag)
+    d.cw = weight_transmissions * d.w_fanout
+    d.ci = ifmap_transmissions * d.i_fanout
     d.out = d.obytes
-    psum_traffic = mul(
-        mul(d.ocount, np.maximum(0, d.psum_fanin - 1), flag), d.psum_el, flag
-    )
+    psum_traffic = (d.ocount * np.maximum(0, d.psum_fanin - 1)) * d.psum_el
     d.psum = np.where(d.psum_fanin > 1, psum_traffic, 0)
 
     gb_half = spec.gb_bytes // 2
     ifmap_fits_gb = d.ibytes <= gb_half
-    spill = mul(d.ibytes, np.where(ifmap_fits_gb, 1, d.i_refetch), flag)
+    spill = d.ibytes * np.where(ifmap_fits_gb, 1, d.i_refetch)
     if layer_by_layer:
         d.dread = d.wbytes + spill
         d.dwrite = d.obytes
@@ -889,279 +731,10 @@ def _traffic_lanes(
     d.gb_send = d.gw + d.gi
     d.pe_receive = d.pw + d.pi
 
-    if not d.checked:
-        return
-    # Exactness fence.  int -> float64 conversion and int * float
-    # products agree between Python and NumPy at every magnitude, so
-    # most columns need no guard.  Two operations do not:
-    # ``int / int`` (Python divides the exact integers in one
-    # rounding; NumPy converts both first -- equal only below 2**53),
-    # and the ``* 8`` inside a transfer time (exact in Python, silent
-    # int64 wrap in NumPy from 2**60).  Flag every lane whose
-    # division numerators or transfer volumes cross those lines.
-    for column in (
-        d.cw, d.ci, d.pw, d.pi, d.out, d.psum, d.out + d.psum,
-    ):
-        flag |= column >= _EXACT_INT
-    for column in (d.gw, d.gi, d.gb_send, d.dread + d.dwrite):
-        flag |= column >= float(2**60)
-
 
 # ----------------------------------------------------------------------
-# The full simulate path
+# Entry points
 # ----------------------------------------------------------------------
-def _evaluate_batch(simulator: Simulator, layers, layer_by_layer: bool):
-    """Evaluate covered layers; returns ``(results, flag)``.
-
-    ``results`` is ``None`` on a strict-mode bailout, else a list
-    aligned with ``layers`` whose flagged lanes hold ``None``.
-    """
-    spec = simulator.spec
-    ce = simulator.compute_energy
-    n = len(layers)
-    flag = np.zeros(n, dtype=bool)
-
-    d = _lower_dims(layers, flag, spec)
-    _map_lanes(spec, d, flag)
-    _traffic_lanes(spec, d, flag, layer_by_layer)
-
-    # --- communication times (mirror of Simulator.communication_times)
-    chiplets_active = np.maximum(1, d.ch_active)
-    # pes_active <= total_pes < 2**53 by the spec coverage gate, so it
-    # is always an exact division denominator.
-    pes_active = d.ch_active * d.pe_active_per_chiplet
-    pes_active_c = np.maximum(1, pes_active)
-
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_egress_s = np.maximum(
-            _transfer_lanes(
-                d.gw, spec.gb_weight_egress_gbps, "gb_weight_egress", spec
-            ),
-            _transfer_lanes(
-                d.gi, spec.gb_ifmap_egress_gbps, "gb_ifmap_egress", spec
-            ),
-        )
-    else:
-        gb_egress_s = _transfer_lanes(
-            d.gb_send, spec.gb_egress_gbps, "gb_egress", spec
-        )
-
-    chiplet_w = d.cw / chiplets_active
-    chiplet_i = d.ci / chiplets_active
-    if spec.chiplet_weight_read_gbps and spec.chiplet_ifmap_read_gbps:
-        chiplet_read_s = np.maximum(
-            _transfer_lanes(
-                chiplet_w, spec.chiplet_weight_read_gbps, "chiplet_weight_read", spec
-            ),
-            _transfer_lanes(
-                chiplet_i, spec.chiplet_ifmap_read_gbps, "chiplet_ifmap_read", spec
-            ),
-        )
-    else:
-        chiplet_read_s = _transfer_lanes(
-            chiplet_w + chiplet_i, spec.chiplet_read_gbps, "chiplet_read", spec
-        )
-
-    if d.pe_forwarding:
-        pes_per_chiplet = np.maximum(1, d.pe_active_per_chiplet)
-        pe_w = chiplet_w / pes_per_chiplet
-        pe_i = chiplet_i / pes_per_chiplet
-    else:
-        pe_w = d.pw / pes_active_c
-        pe_i = d.pi / pes_active_c
-    if spec.pe_weight_read_gbps and spec.pe_ifmap_read_gbps:
-        pe_read_s = np.maximum(
-            _transfer_lanes(
-                pe_w, spec.pe_weight_read_gbps, "pe_weight_read", spec
-            ),
-            _transfer_lanes(
-                pe_i, spec.pe_ifmap_read_gbps, "pe_ifmap_read", spec
-            ),
-        )
-    else:
-        pe_read_s = _transfer_lanes(
-            pe_w + pe_i, spec.pe_read_gbps, "pe_read", spec
-        )
-
-    per_chiplet_out = (d.out + d.psum) / chiplets_active
-    chiplet_write_s = _transfer_lanes(
-        per_chiplet_out, spec.chiplet_write_gbps, "chiplet_write", spec
-    )
-    per_pe_out = d.out / pes_active_c
-    pe_write_s = _transfer_lanes(
-        per_pe_out, spec.pe_write_gbps, "pe_write", spec
-    )
-    gb_ingress_s = _transfer_lanes(
-        d.out, spec.gb_ingress_gbps, "gb_ingress", spec
-    )
-    dram_s = _transfer_lanes(
-        d.dread + d.dwrite, spec.dram_bandwidth_gbps, "dram", spec
-    )
-
-    mul = _checked_mul if d.checked else _unchecked_mul
-    waves = mul(d.ef_waves, d.k_waves, flag)
-    tuning = (
-        spec.package_latency.tuning_delay_s + spec.chiplet_latency.tuning_delay_s
-    )
-    reconfiguration_s = waves * tuning
-
-    busy = np.maximum(gb_egress_s, gb_ingress_s)
-    busy = np.maximum(busy, chiplet_read_s)
-    busy = np.maximum(busy, chiplet_write_s)
-    busy = np.maximum(busy, pe_read_s)
-    busy = np.maximum(busy, pe_write_s)
-    busy = np.maximum(busy, dram_s)
-    comm = busy + reconfiguration_s
-
-    comp = d.cycles * spec.cycle_time_s
-    # Python's max(0.0, diff) keeps 0.0 when diff is NaN or -0.0;
-    # np.maximum would propagate the NaN.  The select mirrors max.
-    diff = comm - comp
-    exposed = np.where(diff > 0.0, diff, 0.0)
-    exec_s = comp + exposed
-
-    # --- energy (mirror of ComputeEnergyModel + the network lowerer)
-    active_pe_cycles = mul(pes_active, d.cycles, flag, limit=_CAST_LIMIT)
-    picojoules = (
-        d.macs * ce.mac.energy_per_mac_pj
-        + active_pe_cycles * ce.mac.leakage_per_pe_cycle_pj
-    )
-    mac_mj = picojoules * 1e-9
-
-    pe_pj = ce.pe_buffer.energy_pj_per_byte
-    operand_reads = 2 * d.macs
-    psum_accesses = np.where(d.psum_fanin > 1, 2 * d.psum, d.obytes)
-    pe_buffer_mj = (
-        (operand_reads + d.pe_receive + psum_accesses) * pe_pj
-    ) * 1e-9
-
-    gb_pj = ce.gb.energy_pj_per_byte
-    gb_reads = d.gb_send + d.dwrite
-    gb_writes = d.out + d.dread
-    gb_mj = ((gb_reads + gb_writes) * gb_pj) * 1e-9
-
-    dram_mj = (((d.dread + d.dwrite) * 8) * ce.dram.energy_pj_per_bit) * 1e-9
-
-    lowerer = _NETWORK_LOWERERS[type(simulator.network_energy)]
-    eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj = lowerer(
-        simulator.network_energy, d, exec_s
-    )
-
-    # delivered stays exact at any int64 magnitude (sums cannot wrap
-    # below 3 * 2**53) and only ever feeds further integer arithmetic.
-    delivered = d.cw + d.ci + d.out
-    packet_latency = simulator.packet_latency_s()
-
-    # --- invariant audit, in array form with exact verdict parity
-    dirty = _audit_lanes(
-        spec, d, comp, comm, exposed, exec_s, packet_latency,
-        (mac_mj, pe_buffer_mj, gb_mj, dram_mj,
-         eo_mj, oe_mj, heating_mj, laser_mj, electrical_mj),
-        delivered,
-    )
-    if simulator.strict and bool((dirty & ~flag).any()):
-        return None, flag
-
-    # One-row lane store (a grid with m = 1): lazy lanes, built on
-    # first attribute access, read column-wise by the serializer.
-    store = LaneStore(
-        n, d, accel=[spec.name], packet=[packet_latency],
-        dataflow=spec.dataflow, comp=comp, comm=comm, exposed=exposed,
-        delivered=delivered, mac=mac_mj, pe=pe_buffer_mj, gb=gb_mj,
-        dram=dram_mj, eo=eo_mj, oe=oe_mj, heat=heating_mj, laser=laser_mj,
-        elec=electrical_mj,
-    )
-    results = store.lanes(0, layers, spec, dirty.tolist())
-    if bool(flag.any()):
-        results = [
-            None if flagged else lane
-            for lane, flagged in zip(results, flag.tolist())
-        ]
-    return results, flag
-
-
-def _audit_lanes(
-    spec, d, comp, comm, exposed, exec_s, packet_latency, energies, delivered
-):
-    """Array form of ``audit_layer_result(result, spec)``: dirty mask.
-
-    Check-for-check mirror of :mod:`repro.core.invariants` at
-    ``DEFAULT_REL_TOL``; a lane is dirty iff the scalar audit would
-    report at least one violation.  (The INV-OPS-TIME check is omitted
-    because ``comp`` *is* ``cycles * cycle_time_s`` here by
-    construction -- the scalar comparison of a value with itself.)
-    """
-    rel_tol = DEFAULT_REL_TOL
-    slack = 1.0 + rel_tol
-
-    # Checks that cannot fire on kernel-built lanes are not evaluated:
-    # comp is cycles * cycle_time_s with positive finite factors,
-    # exposed is max(0, comm - comp) by construction (so the sign,
-    # NaN, and identity checks on them are comparisons of a value with
-    # itself), every byte column is a product of non-negative integers
-    # on unflagged lanes, and chiplets/PEs-active are np.minimum-
-    # clamped to the spec.  What remains is every check whose verdict
-    # depends on spec parameters the constructor does not validate or
-    # on mapper allocation bugs this audit exists to catch.
-    dirty = ~(comm >= 0)  # negative or NaN (a negative tuning delay)
-    if math.isnan(packet_latency) or packet_latency < 0:
-        dirty[:] = True
-
-    # energy: a negative or NaN component (negative/NaN energy-model
-    # coefficients, 0 * inf on a stalled layer), then the sum identity
-    mac, pe, gb, dram, eo, oe, heat, laser, elec = energies
-    for arr in energies:
-        dirty |= ~(arr >= 0)
-    # EnergyBreakdown.total_mj associates (((mac+pe)+gb)+dram) +
-    # ((((eo+oe)+heat)+laser)+elec); the audit's expectation is the
-    # flat left fold.  Mirror both and compare like _close does.  A
-    # NaN total implies a NaN (or +/-inf pair) among the components,
-    # which the sign check above already marked dirty.
-    observed_total = (((mac + pe) + gb) + dram) + (
-        (((eo + oe) + heat) + laser) + elec
-    )
-    expected_total = mac + pe + gb + dram + eo + oe + heat + laser + elec
-    dirty |= ~np.isnan(expected_total) & ~_close_lanes(
-        observed_total, expected_total, rel_tol
-    )
-
-    # op conservation.  capacity = cycles * peak legitimately crosses
-    # 2**53, where the scalar compares the exact integer against
-    # fl(capacity * slack) in one rounding but float math would take
-    # two.  Screen in float with a 1e-9 relative margin (conversion
-    # error is ~1e-16), then re-judge the rare near-bound lanes with
-    # exact Python integers -- the scalar expression itself.
-    capacity_f = d.cycles.astype(np.float64) * float(spec.peak_macs_per_cycle)
-    macs_f = d.macs.astype(np.float64)
-    near = macs_f > capacity_f * (slack * (1.0 - 1e-9))
-    if bool(near.any()):
-        peak = spec.peak_macs_per_cycle
-        for i in np.nonzero(near)[0].tolist():
-            if int(d.macs[i]) > int(d.cycles[i]) * peak * slack:
-                dirty[i] = True
-
-    # communication lower bounds
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_floor = np.maximum(
-            _floor_lanes(d.gw, spec.gb_weight_egress_gbps),
-            _floor_lanes(d.gi, spec.gb_ifmap_egress_gbps),
-        )
-    else:
-        gb_floor = _floor_lanes(d.gb_send, spec.gb_egress_gbps)
-    dirty |= comm < gb_floor * (1.0 - rel_tol)
-    dirty |= comm < _floor_lanes(d.out, spec.gb_ingress_gbps) * (1.0 - rel_tol)
-    dirty |= comm < _floor_lanes(
-        d.dread + d.dwrite, spec.dram_bandwidth_gbps
-    ) * (1.0 - rel_tol)
-
-    # roofline
-    valid = np.isfinite(exec_s) & (exec_s > 0)
-    achieved = d.macs / np.where(valid, exec_s, 1.0)
-    peak_macs_per_s = spec.peak_macs_per_cycle * spec.frequency_ghz * 1e9
-    dirty |= valid & (achieved > peak_macs_per_s * slack)
-    return dirty
-
-
 def simulate_layers_vectorized(
     simulator: Simulator,
     layers: Sequence[ConvLayer],
@@ -1170,43 +743,38 @@ def simulate_layers_vectorized(
 ) -> "list[LayerResult] | None":
     """Batch-evaluate ``simulator.simulate_layer`` over ``layers``.
 
-    Returns one :class:`LayerResult` per input layer, bit-identical to
-    the scalar path (kernel lanes are lazy, backed by a one-row
-    :class:`~.metrics.LaneStore`), or ``None`` when the kernel declines
-    the batch (coverage gap, or a strict simulator with an
-    invariant-dirty lane -- the caller must then run the scalar loop,
-    which reproduces the exact raise).  Layers the kernel cannot prove
-    exact (non-stock layer types, intermediates crossing 2**53) are
-    transparently evaluated by the scalar oracle within the returned
-    list.
+    Returns one :class:`LayerResult` per input layer, each bound to its
+    own layer and bit-identical to the scalar path, or ``None`` when
+    the kernel declines the batch (coverage gap, or a strict simulator
+    with an invariant-dirty lane -- the caller must then run the
+    scalar loop, which reproduces the exact raise).
+
+    The covered lanes (stock layer types inside int64) are evaluated as
+    a one-machine grid (:func:`repro.core.grid.evaluate_grid` with
+    m = 1).  Everything the grid cannot prove exact -- sieved lanes, a
+    machine :func:`~repro.core.grid.grid_gap` refuses (dead link,
+    parameter budget) or a batch the exactness screen declines -- goes
+    lane by lane to the scalar oracle within the returned list.
     """
     layers = list(layers)
     if not layers:
         return []
     if coverage_gap(simulator) is not None:
         return None
+    from . import grid
+
     out: "list[LayerResult | None]" = [None] * len(layers)
-    vec = [i for i, layer in enumerate(layers) if _precheck(layer)]
-    if vec:
-        sub = [layers[i] for i in vec]
-        try:
-            with np.errstate(all="ignore"):
-                built, _flag = _evaluate_batch(simulator, sub, layer_by_layer)
-        except OverflowError:
-            # A dimension too large for int64 entirely; sieve those
-            # lanes out (scalar handles them) and retry once.
-            vec = [i for i in vec if _fits_int64(layers[i])]
-            sub = [layers[i] for i in vec]
-            built = []
-            if sub:
-                with np.errstate(all="ignore"):
-                    built, _flag = _evaluate_batch(
-                        simulator, sub, layer_by_layer
-                    )
-        if built is None:
+    vec = [i for i, layer in enumerate(layers) if grid.lane_covered(layer)]
+    if vec and grid.grid_gap(simulator) is None:
+        outcome = grid.evaluate_grid(
+            [simulator], [layers[i] for i in vec], layer_by_layer=layer_by_layer
+        )
+        row = outcome.rows[0]
+        if row is not None:
+            for i, lane in zip(vec, row):
+                out[i] = lane
+        elif outcome.reasons[0] == grid.STRICT_BAILOUT:
             return None
-        for position, i in enumerate(vec):
-            out[i] = built[position]
     for i, layer in enumerate(layers):
         if out[i] is None:
             out[i] = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
@@ -1241,135 +809,3 @@ def simulate_model_vectorized(
     result = ModelResult(accelerator=simulator.spec.name, model=layers.name)
     result.layers.extend(map(by_shape.__getitem__, order))
     return result
-
-
-# ----------------------------------------------------------------------
-# Lower bounds (roofline / DSE pruning)
-# ----------------------------------------------------------------------
-def _floor_columns(spec, d, comp_floor):
-    """``mapped_time_floor_s`` over the lanes (exact mirror)."""
-    if spec.gb_weight_egress_gbps and spec.gb_ifmap_egress_gbps:
-        gb_floor = np.maximum(
-            _floor_lanes(d.gw, spec.gb_weight_egress_gbps),
-            _floor_lanes(d.gi, spec.gb_ifmap_egress_gbps),
-        )
-    else:
-        gb_floor = _floor_lanes(d.gb_send, spec.gb_egress_gbps)
-    ingress_floor = _floor_lanes(d.out, spec.gb_ingress_gbps)
-    dram_floor = _floor_lanes(d.dread + d.dwrite, spec.dram_bandwidth_gbps)
-    floor = np.maximum(comp_floor, gb_floor)
-    floor = np.maximum(floor, ingress_floor)
-    return np.maximum(floor, dram_floor)
-
-
-def _lower_for_bounds(spec, layers, layer_by_layer):
-    """Shared lowering for the two bounds entry points."""
-    out_n = len(layers)
-    vec = [i for i, layer in enumerate(layers) if _precheck(layer)]
-    if not vec:
-        return None, [], out_n
-    sub = [layers[i] for i in vec]
-    try:
-        flag = np.zeros(len(sub), dtype=bool)
-        d = _lower_dims(sub, flag, spec)
-    except OverflowError:
-        vec = [i for i in vec if _fits_int64(layers[i])]
-        if not vec:
-            return None, [], out_n
-        sub = [layers[i] for i in vec]
-        flag = np.zeros(len(sub), dtype=bool)
-        d = _lower_dims(sub, flag, spec)
-    _map_lanes(spec, d, flag)
-    _traffic_lanes(spec, d, flag, layer_by_layer)
-    if d.checked:
-        flag |= d.cycles >= _EXACT_INT
-    d.flag = flag
-    return d, vec, out_n
-
-
-def time_floors_batch(
-    spec: AcceleratorSpec,
-    layers: Sequence[ConvLayer],
-    *,
-    layer_by_layer: bool = False,
-) -> "list[float | None] | None":
-    """Batched ``roofline.time_lower_bound`` (None lanes need scalar).
-
-    Returns ``None`` when the spec is outside kernel coverage.
-    """
-    if spec_coverage_gap(spec) is not None:
-        return None
-    layers = list(layers)
-    if not layers:
-        return []
-    with np.errstate(all="ignore"):
-        d, vec, n = _lower_for_bounds(spec, layers, layer_by_layer)
-        out: "list[float | None]" = [None] * n
-        if d is None:
-            return out
-        comp_floor = d.cycles * spec.cycle_time_s
-        floors = _floor_columns(spec, d, comp_floor).tolist()
-        flags = d.flag.tolist()
-    for position, i in enumerate(vec):
-        if not flags[position]:
-            out[i] = floors[position]
-    return out
-
-
-def bounds_batch(
-    simulator: Simulator,
-    layers: Sequence[ConvLayer],
-    *,
-    layer_by_layer: bool = False,
-) -> "list[tuple[float, float] | None] | None":
-    """Batched ``dse.bounds.layer_bounds`` (None lanes need scalar).
-
-    Each covered lane yields ``(time_floor_s, energy_floor_mj)``
-    bit-identical to the scalar helper; returns ``None`` when the
-    simulator is outside bounds coverage.
-    """
-    if bounds_coverage_gap(simulator) is not None:
-        return None
-    layers = list(layers)
-    if not layers:
-        return []
-    spec = simulator.spec
-    ce = simulator.compute_energy
-    with np.errstate(all="ignore"):
-        d, vec, n = _lower_for_bounds(spec, layers, layer_by_layer)
-        out: "list[tuple[float, float] | None]" = [None] * n
-        if d is None:
-            return out
-        flag = d.flag
-        comp_floor = d.cycles * spec.cycle_time_s
-        floors = _floor_columns(spec, d, comp_floor)
-
-        pes_active = d.ch_active * d.pe_active_per_chiplet
-        if d.checked:
-            flag |= pes_active.astype(np.float64) >= _EXACT_INT
-            active_pe_cycles = _checked_mul(
-                pes_active, d.cycles, flag, limit=_CAST_LIMIT
-            )
-        else:
-            active_pe_cycles = pes_active * d.cycles
-        picojoules = (
-            d.macs * ce.mac.energy_per_mac_pj
-            + active_pe_cycles * ce.mac.leakage_per_pe_cycle_pj
-        )
-        mac_mj = picojoules * 1e-9
-        gb_pj = ce.gb.energy_pj_per_byte
-        gb_reads = d.gb_send + d.dwrite
-        gb_writes = d.out + d.dread
-        gb_mj = ((gb_reads + gb_writes) * gb_pj) * 1e-9
-        dram_mj = (
-            ((d.dread + d.dwrite) * 8) * ce.dram.energy_pj_per_bit
-        ) * 1e-9
-        energy = (mac_mj + gb_mj) + dram_mj
-
-        floors_l = floors.tolist()
-        energy_l = energy.tolist()
-        flags_l = flag.tolist()
-    for position, i in enumerate(vec):
-        if not flags_l[position]:
-            out[i] = (floors_l[position], energy_l[position])
-    return out

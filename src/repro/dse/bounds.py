@@ -93,14 +93,14 @@ def layer_bounds_batch(
 ) -> list[tuple[float, float]]:
     """:func:`layer_bounds` over many layers, batched.
 
-    Routes through the NumPy kernel's
-    :func:`~repro.core.vectorized.bounds_batch` when enabled
-    (bit-identical floors by construction); lanes outside kernel
-    coverage -- and the whole batch when the simulator is uncovered --
-    fall back to the scalar helper, so the output is always
-    element-wise equal to ``[layer_bounds(simulator, l) for l in
-    layers]``.  ``vectorize=None`` defers to the campaign default
-    (:func:`repro.core.batch.default_vectorize`).
+    Routes the covered lanes through the array kernel's
+    :func:`~repro.core.grid.bounds_grid` with m = 1 when enabled
+    (bit-identical floors by construction); sieved lanes -- and every
+    lane when the machine is outside bounds coverage or the exactness
+    screen declines the batch -- fall back to the scalar helper, so the
+    output is always element-wise equal to ``[layer_bounds(simulator,
+    l) for l in layers]``.  ``vectorize=None`` defers to the campaign
+    default (:func:`repro.core.batch.default_vectorize`).
     """
     layers = list(layers)
     if not layers:
@@ -109,13 +109,16 @@ def layer_bounds_batch(
         from ..core.batch import default_vectorize
 
         vectorize = default_vectorize()
-    pairs: "list[tuple[float, float] | None] | None" = None
+    pairs: "list[tuple[float, float] | None]" = [None] * len(layers)
     if vectorize:
-        from ..core.vectorized import bounds_batch
+        from ..core.grid import bounds_row
 
-        pairs = bounds_batch(simulator, layers, layer_by_layer=layer_by_layer)
-    if pairs is None:
-        pairs = [None] * len(layers)
+        pairs = bounds_row(
+            simulator.spec,
+            layers,
+            compute_energy=simulator.compute_energy,
+            layer_by_layer=layer_by_layer,
+        )
     return [
         layer_bounds(simulator, layer, layer_by_layer=layer_by_layer)
         if pair is None
@@ -243,8 +246,8 @@ def frontier_bounds(
 
     The output is element-wise **bit-identical** to
     ``[objective_lower_bound(s, m, objective, ...) for s, m in pairs]``:
-    grid floors match the 1-D/scalar derivations lane-for-lane, lanes
-    and machines outside grid coverage take the per-pair path, and the
+    grid floors match the scalar derivations lane-for-lane, lanes
+    and machines outside bounds coverage take the per-pair path, and the
     per-model accumulation runs in the same ``unique_layers`` order
     with the same operations -- so branch-and-bound prune decisions
     cannot depend on whether the frontier was batched.
@@ -278,15 +281,6 @@ def frontier_bounds(
 
     from ..core import grid as grid_mod
 
-    eligible: dict[int, bool] = {}
-
-    def grid_ok(simulator) -> bool:
-        flag = eligible.get(id(simulator))
-        if flag is None:
-            flag = grid_mod.grid_gap(simulator) is None
-            eligible[id(simulator)] = flag
-        return flag
-
     cover_memo: dict[int, bool] = {}
 
     def covered(layer) -> bool:
@@ -299,9 +293,6 @@ def frontier_bounds(
     out: "list[float | None]" = [None] * len(pairs)
     groups: dict[tuple, dict] = {}
     for idx, (simulator, model) in enumerate(pairs):
-        if not grid_ok(simulator):
-            out[idx] = per_pair(simulator, model)
-            continue
         key = grid_mod.family_key(simulator, layer_by_layer)
         group = groups.setdefault(key, {"machines": {}, "pairs": []})
         group["machines"].setdefault(id(simulator), simulator)
@@ -310,12 +301,6 @@ def frontier_bounds(
     for group in groups.values():
         machines = list(group["machines"].values())
         indices = group["pairs"]
-        if len(machines) < 2:
-            # A lone machine gains nothing from the machine axis; the
-            # per-pair path already batches its layer axis.
-            for idx in indices:
-                out[idx] = per_pair(*pairs[idx])
-            continue
         union: dict = {}
         for idx in indices:
             for layer in pairs[idx][1].unique_layers:
@@ -323,7 +308,10 @@ def frontier_bounds(
                     union.setdefault(layer.shape_key, layer)
         union_layers = list(union.values())
         rows, _ = grid_mod.bounds_grid(
-            machines, union_layers, layer_by_layer=layer_by_layer
+            [simulator.spec for simulator in machines],
+            union_layers,
+            energies=[simulator.compute_energy for simulator in machines],
+            layer_by_layer=layer_by_layer,
         )
         row_by_machine = {
             id(simulator): row for simulator, row in zip(machines, rows)
@@ -335,8 +323,9 @@ def frontier_bounds(
             simulator, model = pairs[idx]
             row = row_by_machine[id(simulator)]
             if row is None:
-                # Exactness screen declined this machine for this
-                # layer table: per-pair path, bit-identical.
+                # Outside bounds coverage, or the exactness screen
+                # declined this machine for this layer table: per-pair
+                # path, bit-identical.
                 out[idx] = per_pair(simulator, model)
                 continue
             time_floor = 0.0

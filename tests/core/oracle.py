@@ -1,11 +1,11 @@
-"""Scalar-oracle differential harness for the vectorized kernel.
+"""Scalar-oracle differential harness for the array kernel.
 
 It also keeps the object-walking reporting serializer
 (:func:`oracle_model_result_to_dict`) that the column-reading one in
 :mod:`repro.serialization` must match byte for byte.
 
 The contract under test is **bit identity**: for every (machine,
-layer) pair the batched NumPy kernel must produce a
+layer) pair the NumPy grid kernel must produce a
 :class:`~repro.core.simulator.LayerResult` whose canonical JSON form
 equals the scalar simulator's exactly.  The kernel earns this by
 mirroring the scalar arithmetic operation for operation (same
@@ -50,10 +50,11 @@ __all__ = [
 #: Per-metric-group maximum relative error the differential tests
 #: accept, keyed by the top-level groups of
 #: :func:`repro.serialization.layer_result_to_dict`.  All zero: the
-#: kernel replays the scalar expression trees verbatim (division
-#: numerators are fenced below 2**53, products below int64 wrap), so
-#: float re-association never occurs and exact equality is the proven
-#: -- not aspirational -- contract.
+#: kernel replays the scalar expression trees verbatim (the exactness
+#: screen keeps division numerators below 2**53 and products below
+#: int64 wrap, else the batch goes to the scalar oracle), so float
+#: re-association never occurs and exact equality is the proven --
+#: not aspirational -- contract.
 METRIC_TOLERANCES: dict[str, float] = {
     "layer": 0.0,
     "mapping": 0.0,
@@ -102,7 +103,7 @@ def zoo_grid_families(layer_by_layer: bool = False) -> dict:
     simulator)`` list of zoo machines that pass
     :func:`repro.core.grid.grid_gap` -- the exact grouping the
     campaign planner and :func:`repro.dse.bounds.frontier_bounds`
-    perform before a 2-D megabatch.
+    perform before a grid evaluation.
     """
     from repro.core.grid import family_key, grid_gap
 
@@ -125,45 +126,45 @@ def covered_union_layers() -> list[ConvLayer]:
 def three_way_mismatches(
     simulators, layers, *, layer_by_layer: bool = False
 ) -> list[str]:
-    """Divergences between scalar, 1-D and 2-D grid evaluations.
+    """Divergences between the scalar oracle and the grid at m = 1 and
+    at m = N.
 
-    Runs one same-family batch three ways -- the scalar oracle, the
-    per-machine 1-D kernel and one 2-D :func:`evaluate_grid` pass --
-    and returns a description per (machine, layer) lane whose three
-    canonical JSON forms are not byte-equal.  An empty list is the
-    bit-identity contract.
+    Runs one same-family batch three ways -- the scalar oracle, one
+    :func:`evaluate_grid` pass per machine (m = 1) and one pass over
+    the whole family (m = N) -- and returns a description per
+    (machine, layer) lane whose three canonical JSON forms are not
+    byte-equal, or per machine either grid declined.  An empty list is
+    the bit-identity contract.
     """
     from repro.core.grid import evaluate_grid
-    from repro.core.vectorized import simulate_layers_vectorized
 
     simulators = list(simulators)
     layers = list(layers)
-    outcome = evaluate_grid(
-        simulators, layers, layer_by_layer=layer_by_layer
-    )
+    family = evaluate_grid(simulators, layers, layer_by_layer=layer_by_layer)
     mismatches: list[str] = []
     for j, simulator in enumerate(simulators):
         name = simulator.spec.name
-        row = outcome.by_machine[j]
+        row = family.rows[j]
         if row is None:
-            mismatches.append(f"{name}: declined ({outcome.reasons[j]})")
+            mismatches.append(f"{name}: declined ({family.reasons[j]})")
             continue
-        vec = simulate_layers_vectorized(
-            simulator, layers, layer_by_layer=layer_by_layer
+        single = evaluate_grid(
+            [simulator], layers, layer_by_layer=layer_by_layer
         )
-        if vec is None:
-            mismatches.append(f"{name}: 1-D kernel declined the batch")
+        if single.rows[0] is None:
+            mismatches.append(
+                f"{name}: m = 1 declined ({single.reasons[0]})"
+            )
             continue
-        for layer, fast in zip(layers, vec):
+        for layer, one, lane in zip(layers, single.rows[0], row):
             slow = simulator.simulate_layer(
                 layer, layer_by_layer=layer_by_layer
             )
-            lane = row[layer.shape_key]
             oracle_form = canonical(slow)
-            if canonical(fast) != oracle_form:
-                mismatches.append(f"{name}/{layer.name}: 1-D != scalar")
+            if canonical(one) != oracle_form:
+                mismatches.append(f"{name}/{layer.name}: m = 1 != scalar")
             if canonical(lane) != oracle_form:
-                mismatches.append(f"{name}/{layer.name}: grid != scalar")
+                mismatches.append(f"{name}/{layer.name}: m = N != scalar")
     return mismatches
 
 

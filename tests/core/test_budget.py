@@ -353,7 +353,7 @@ class TestQuarantine:
         ]
         first = SweepRunner(
             max_workers=2,
-            pool=False,
+            exec_plan="pool",
             cache=ResultCache(cache_dir=cache_dir),
             manifest=CampaignManifest(cache_dir),
             on_error="skip",
@@ -505,7 +505,7 @@ class TestMemoryWatchdog:
         )
         runner = SweepRunner(
             max_workers=2,
-            pool=True,
+            exec_plan="pool",
             cache=NullCache(),
             manifest=False,
             retries=1,
@@ -538,7 +538,7 @@ class TestMemoryWatchdog:
         )
         runner = SweepRunner(
             max_workers=2,
-            pool=True,
+            exec_plan="pool",
             cache=NullCache(),
             manifest=False,
             on_error="skip",

@@ -83,7 +83,7 @@ def test_default_exec_plan_chain(monkeypatch):
 def test_runner_inherits_default_plan(monkeypatch):
     monkeypatch.setattr(batch._defaults, "exec_plan", "serial")
     assert _runner().exec_plan == "serial"
-    assert _runner(exec_plan="grid").exec_plan == "grid"
+    assert _runner(exec_plan="pool").exec_plan == "pool"
 
 
 def test_configure_rejects_unknown_plan():
@@ -110,7 +110,8 @@ def test_forced_serial_records_one_decision():
 
 
 def test_forced_grid_records_lanes_and_modes():
-    runner = _runner(exec_plan="grid")
+    """A two-machine family grids under the default plan."""
+    runner = _runner(exec_plan="auto")
     jobs = [SweepJob(sim, _model(i)) for sim in _pair() for i in range(2)]
     runner.run(jobs)
     grid_decisions = [d for d in runner.plan_decisions if d.plan == "grid"]
@@ -128,8 +129,23 @@ def test_plan_decisions_reset_between_runs():
     assert len(runner.plan_decisions) == 1
 
 
+def test_auto_grids_a_single_machine_family():
+    """One machine is a grid with m = 1: its models share one union
+    batch, and every job is served by the grid."""
+    runner = _runner(exec_plan="auto")
+    simulator = spacx_simulator()
+    runner.run([SweepJob(simulator, _model(i)) for i in range(3)])
+    [decision] = runner.plan_decisions
+    assert decision.plan == "grid"
+    assert decision.jobs == 3
+    assert decision.lanes == 3  # 1 machine x 3 union shapes
+    assert runner.grid_machines == 1
+    assert not runner.grid_fallbacks
+    assert [s.mode for s in runner.stats] == ["grid"] * 3
+
+
 def test_campaign_report_carries_plan():
-    runner = _runner(exec_plan="grid")
+    runner = _runner(exec_plan="auto")
     runner.run([SweepJob(sim, _model()) for sim in _pair()])
     report = runner.campaign_report()
     assert "plan:" in report
@@ -137,7 +153,7 @@ def test_campaign_report_carries_plan():
         assert decision.describe() in report
 
     payload = runner.campaign_report(as_dict=True)["plan"]
-    assert payload["exec_plan"] == "grid"
+    assert payload["exec_plan"] == "auto"
     assert payload["grid_lanes"] == runner.grid_lanes
     assert payload["grid_machines"] == runner.grid_machines
     assert payload["grid_fallbacks"] == []
@@ -147,14 +163,13 @@ def test_campaign_report_carries_plan():
 
 
 def test_pool_stats_carry_plan_description():
-    runner = _runner(max_workers=2, exec_plan="pool", pool=True)
+    runner = _runner(max_workers=2, exec_plan="pool")
     jobs = [SweepJob(spacx_simulator(), _model(i)) for i in range(4)]
     runner.run(jobs)
     [decision] = runner.plan_decisions
-    assert decision.plan in ("pool", "spawn")
+    assert decision.plan == "pool"
     assert decision.reason == "forced by exec_plan='pool'"
-    if decision.plan == "pool" and runner.pool_stats is not None:
-        assert runner.pool_stats.plan == decision.describe()
+    assert runner.pool_stats.plan == decision.describe()
 
 
 def test_auto_prefers_serial_for_tiny_vectorized_campaigns():

@@ -1,24 +1,24 @@
-"""Three-way differential oracle: scalar vs 1-D kernel vs 2-D grid.
+"""Differential oracle: scalar vs the grid kernel at m = 1 and m = N.
 
-Satellite suite of the grid megabatch (:mod:`repro.core.grid`).  The
-scalar :class:`Simulator` stays the oracle; the 1-D kernel is already
-pinned to it bit-for-bit (``test_vectorized_oracle.py``), and every
-test here closes the triangle by asserting the 2-D grid's lanes equal
-*both* -- see ``tests/core/oracle.py`` for the shared harness and the
-(all-zero) per-metric tolerance table.
+Satellite suite of the array kernel (:mod:`repro.core.grid`).  The
+scalar :class:`Simulator` stays the oracle; every test here asserts
+that a one-machine grid and a whole-family grid both produce lanes
+equal to it -- see ``tests/core/oracle.py`` for the shared harness
+and the (all-zero) per-metric tolerance table.
 
 Coverage map:
 
 * the zoo's family partition itself (which machines may share a
-  megabatch is a load-bearing planner input);
-* zoo-wide three-way bit identity, per family, both timing modes;
+  grid is a load-bearing planner input);
+* zoo-wide scalar == m = 1 == m = N bit identity, per family, both
+  timing modes;
 * the golden drift report pinning worst-case grid-vs-scalar ULP
   error (all zeros) across every family;
 * hypothesis-randomised mixed-coverage grids: random granularity
   siblings x random layer subsets, with uncovered shapes sieved to
   the scalar path exactly as the planner does;
 * campaign digest invariance under every ``--exec-plan`` value,
-  composed with process pools, crash injection and manifest resume;
+  composed with the warm pool, crash injection and manifest resume;
 * planner routing on mixed fleets: coverage-gap machines ride the
   serial/pool lanes while clean families still grid, results
   unchanged.
@@ -98,8 +98,8 @@ def test_family_key_is_timing_mode_sensitive():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("layer_by_layer", [False, True])
 def test_zoo_three_way_bit_identical(layer_by_layer):
-    """scalar == 1-D == 2-D for every family x covered union shape,
-    under strict simulators, both timing modes."""
+    """scalar == grid(m = 1) == grid(m = N) for every family x covered
+    union shape, under strict simulators, both timing modes."""
     layers = covered_union_layers()
     assert layers, "zoo union unexpectedly outside lane coverage"
     for members in zoo_grid_families(layer_by_layer).values():
@@ -229,8 +229,8 @@ def _models(n=3):
 
 
 def _family_pair():
-    """Two distinctly-named same-family machines -- the smallest
-    fleet the auto planner will megabatch.  Distinct names matter:
+    """Two distinctly-named same-family machines -- one grid of m = 2
+    under the auto planner.  Distinct names matter:
     the result cache and manifest key on ``(accelerator, model)``."""
     sibling = spacx_simulator(ef_granularity=2)
     sibling.spec = replace(sibling.spec, name="SPACX-ef2")
@@ -262,7 +262,7 @@ def serial_baseline():
     return _digest(results)
 
 
-@pytest.mark.parametrize("exec_plan", ["auto", "grid", "pool", "serial"])
+@pytest.mark.parametrize("exec_plan", ["auto", "pool", "serial"])
 def test_exec_plan_digest_invariant(exec_plan, serial_baseline):
     """Every plan value produces the byte-identical campaign."""
     runner = SweepRunner(
@@ -275,12 +275,12 @@ def test_exec_plan_digest_invariant(exec_plan, serial_baseline):
     assert _digest(results) == serial_baseline
     assert not runner.failures and not runner.grid_fallbacks
     assert runner.plan_decisions, "planner recorded no decision"
-    if exec_plan == "grid":
+    if exec_plan == "auto":
         assert any(d.plan == "grid" for d in runner.plan_decisions)
         assert runner.grid_lanes > 0 and runner.grid_machines >= 2
 
 
-@pytest.mark.parametrize("exec_plan", ["auto", "grid", "pool"])
+@pytest.mark.parametrize("exec_plan", ["auto", "pool"])
 def test_exec_plan_crash_resume_digest_invariant(
     exec_plan, serial_baseline, tmp_path
 ):
@@ -340,6 +340,6 @@ def test_mixed_fleet_gap_machines_ride_serial_lanes(tmp_path):
     assert _digest(fast) == _digest(serial)
     plans = [d.plan for d in auto.plan_decisions]
     assert "grid" in plans, plans
-    assert any(p in ("serial", "pool", "spawn") for p in plans), plans
+    assert any(p in ("serial", "pool") for p in plans), plans
     assert not auto.grid_fallbacks
     assert auto.grid_machines == 2

@@ -2,9 +2,9 @@
 
 Pins the tentpole guarantees of :mod:`repro.core.pool`:
 
-* **Bit-identical results.**  Serial, one-process-per-attempt and
-  warm-pool execution of the full evaluation zoo produce the same
-  canonical digest (anchored to the golden uninterrupted sweep).
+* **Bit-identical results.**  Serial and warm-pool execution of the
+  full evaluation zoo produce the same canonical digest (anchored to
+  the golden uninterrupted sweep).
 * **Isolation is not weakened.**  A worker killed mid-batch loses only
   the job it was executing (a failed attempt in the retry path);
   queued batch-mates are re-dispatched without being charged an
@@ -12,7 +12,7 @@ Pins the tentpole guarantees of :mod:`repro.core.pool`:
   heartbeat deadline terminates the worker the same way.
 * **Campaign semantics hold.**  Retries/backoff, ``on_error``,
   structural serial fallback, manifest checkpointing and
-  SIGKILL-and-resume behave exactly as on the per-attempt path.
+  SIGKILL-and-resume all hold on the pool.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class TestWorkerPoolLifecycle:
 
         from repro.core import batch
 
-        runner = batch.SweepRunner(max_workers=2, pool=True)
+        runner = batch.SweepRunner(max_workers=2)
         try:
             runner._ensure_pool()
             errors = []
@@ -196,22 +196,21 @@ class TestWorkerPoolLifecycle:
 # Tentpole: bit-identical across execution strategies (full zoo)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-def test_pool_serial_and_per_attempt_digests_are_identical():
+def test_pool_and_serial_digests_are_identical():
     """Full-zoo digest equivalence, anchored to the golden digest."""
     from repro.experiments.harness import default_trio, run_models
 
     digests = {}
     for label, kwargs in {
-        "serial": dict(max_workers=1),
-        "per-attempt": dict(max_workers=2, pool=False),
-        "pool": dict(max_workers=2, pool=True),
+        "serial": dict(max_workers=1, exec_plan="serial"),
+        "pool": dict(max_workers=2, exec_plan="pool"),
     }.items():
         runner = SweepRunner(cache=NullCache(), manifest=False, **kwargs)
         results = run_models(default_trio(), runner=runner)
         assert not runner.used_fallback, (label, runner.fallback_reason)
         digests[label] = _digest(results)
         runner.close()
-    assert digests["serial"] == digests["per-attempt"] == digests["pool"]
+    assert digests["serial"] == digests["pool"]
     golden = json.loads(GOLDEN_DIGEST.read_text())
     assert digests["pool"] == golden["sha256"]
 
@@ -221,7 +220,7 @@ def test_pool_results_match_serial_small_campaign(simulator):
     jobs = [SweepJob(simulator, m) for m in models]
     serial = SweepRunner(max_workers=1, cache=NullCache(), manifest=False)
     with SweepRunner(
-        max_workers=2, cache=NullCache(), manifest=False, pool=True,
+        max_workers=2, cache=NullCache(), manifest=False,
         exec_plan="pool",
     ) as pooled:
         a = serial.run(jobs)
@@ -237,7 +236,7 @@ def test_pool_persists_across_runs_and_reports_stats(simulator):
     models = _models(4)
     jobs = [SweepJob(simulator, m) for m in models]
     with SweepRunner(
-        max_workers=2, cache=NullCache(), manifest=False, pool=True,
+        max_workers=2, cache=NullCache(), manifest=False,
         exec_plan="pool",
     ) as runner:
         runner.run(jobs)
@@ -259,7 +258,7 @@ def test_pool_worker_cache_hits_reported_in_job_stats(simulator):
     model = _models(1)[0]
     jobs = [SweepJob(simulator, model) for _ in range(4)]
     with SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, pool=True
+        max_workers=1, cache=NullCache(), manifest=False
     ) as runner:
         # max_workers=1 would short-circuit to serial via run();
         # drive the pool path directly to pin worker-side accounting.
@@ -292,7 +291,7 @@ class TestPoolIsolation:
             cache=NullCache(),
             manifest=False,
             on_error="skip",
-            pool=True,
+            exec_plan="pool",
             pool_batch=6,  # force every job into one dispatched batch
         ) as runner:
             results = runner.run(jobs)
@@ -325,7 +324,7 @@ class TestPoolIsolation:
             cache=NullCache(),
             manifest=False,
             on_error="skip",
-            pool=True,
+            exec_plan="pool",
         ) as runner:
             results = runner.run(jobs)
             assert results[1] is None
@@ -352,7 +351,7 @@ class TestPoolIsolation:
             manifest=False,
             timeout_s=0.5,
             on_error="skip",
-            pool=True,
+            exec_plan="pool",
         ) as runner:
             results = runner.run(jobs)
             assert results[0] is None and results[1] is not None
@@ -377,7 +376,7 @@ class TestPoolIsolation:
             retries=2,
             backoff_s=0.01,
             on_error="raise",
-            pool=True,
+            exec_plan="pool",
         ) as runner:
             results = runner.run(
                 [SweepJob(flaky, models[0]), SweepJob(simulator, models[1])]
@@ -401,7 +400,7 @@ class TestPoolIsolation:
             cache=NullCache(),
             manifest=False,
             on_error="raise",
-            pool=True,
+            exec_plan="pool",
         )
         with pytest.raises(batch.SweepJobError, match="injected crash"):
             runner.run(jobs)
@@ -418,7 +417,7 @@ class TestPoolIsolation:
         model = Unpicklable("local", [_layer("l0")])
         jobs = [SweepJob(simulator, model), SweepJob(simulator, _models(1)[0])]
         with SweepRunner(
-            max_workers=2, cache=NullCache(), manifest=False, pool=True,
+            max_workers=2, cache=NullCache(), manifest=False,
             exec_plan="pool",
         ) as runner:
             results = runner.run(jobs)
@@ -443,7 +442,7 @@ def test_pool_campaign_manifest_has_no_lost_or_duplicate_entries(
         cache=ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         on_error="skip",
-        pool=True,
+        exec_plan="pool",
         pool_batch=6,
     ) as runner:
         runner.run(jobs)
@@ -471,7 +470,7 @@ def progress(stats):
 
 runner = batch.SweepRunner(
     max_workers=2,
-    pool=True,
+    exec_plan="pool",
     cache=batch.ResultCache(cache_dir=cache_dir),
     manifest=CampaignManifest(cache_dir),
     progress=progress,
@@ -508,7 +507,7 @@ def test_sigkill_under_pool_resumes_byte_identical(tmp_path):
 
     runner = batch.SweepRunner(
         max_workers=2,
-        pool=True,
+        exec_plan="pool",
         cache=batch.ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         resume=True,

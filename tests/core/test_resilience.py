@@ -279,7 +279,8 @@ class TestResume:
         assert second.manifest.resumed
         assert second.resumed_jobs == 2
         modes = {s.index: s.mode for s in second.stats}
-        assert modes == {0: "resumed", 1: "serial", 2: "resumed"}
+        # The re-run job is a one-machine family: a grid with m = 1.
+        assert modes == {0: "resumed", 1: "grid", 2: "resumed"}
         for a, b in zip(resumed, clean):
             assert a.execution_time_s == b.execution_time_s
             assert a.energy.total_mj == b.energy.total_mj

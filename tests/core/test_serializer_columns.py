@@ -105,7 +105,7 @@ def _run(jobs, **kwargs):
 @pytest.mark.parametrize("layer_by_layer", [False, True])
 def test_every_zoo_family_grid_and_1d_lanes(layer_by_layer):
     """Grid lanes of every zoo machine family, and the same machines'
-    1-D kernel lanes, in both timing modes."""
+    one-machine (m = 1) lanes, in both timing modes."""
     union = covered_union_layers()
     families = zoo_grid_families(layer_by_layer)
     assert families
@@ -136,7 +136,7 @@ def test_every_zoo_family_grid_and_1d_lanes(layer_by_layer):
             _assert_same(old, new_grid, new_vec, what=simulator.spec.name)
 
 
-@pytest.mark.parametrize("exec_plan", ["grid", "serial", "pool"])
+@pytest.mark.parametrize("exec_plan", ["auto", "serial", "pool"])
 def test_every_route_matches_the_oracle(exec_plan):
     jobs = [
         SweepJob(simulator, model)
@@ -197,8 +197,8 @@ def test_warm_disk_hits_match_the_oracle(tmp_path):
 def test_mixed_materialized_and_lazy_lanes():
     """Serializing one model whose lanes are partly materialized."""
     jobs = [SweepJob(simulator, get_model(MODELS[1])) for simulator in _trio()]
-    fresh = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="grid")
-    touched = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="grid")
+    fresh = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="auto")
+    touched = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="auto")
     for result in touched:
         for lane in result.layers[::3]:
             lane.mapping  # materializes this lane only
@@ -215,7 +215,7 @@ def test_mixed_materialized_and_lazy_lanes():
 
 def test_serializing_leaves_grid_lanes_lazy():
     jobs = [SweepJob(simulator, get_model(MODELS[0])) for simulator in _trio()]
-    results = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="grid")
+    results = _run(jobs, max_workers=1, cache=NullCache(), exec_plan="auto")
     lanes = [lane for result in results for lane in result.layers]
     assert all(map(_lazy, lanes))
     for result in results:

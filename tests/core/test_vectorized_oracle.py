@@ -1,7 +1,7 @@
-"""Differential oracle: the vectorized kernel vs the scalar simulator.
+"""Differential oracle: the per-machine kernel entry vs the scalar simulator.
 
-Satellite suite of the batched NumPy evaluation path
-(:mod:`repro.core.vectorized`).  The scalar :class:`Simulator` is the
+Satellite suite of :func:`repro.core.vectorized.simulate_layers_vectorized`
+(a grid with m = 1).  The scalar :class:`Simulator` is the
 oracle; every test here asserts *bit identity* of the canonical JSON
 forms -- see ``tests/core/oracle.py`` for the shared harness and the
 (all-zero) per-metric tolerance table.
@@ -15,11 +15,12 @@ Coverage map:
 * full-sweep digest equality with the kernel toggled off vs on;
 * hypothesis-randomised shapes x SPACX configs, including invariant
   audit verdict parity;
-* the exactness machinery's edge lanes: batches that fail the 2**53
-  screen (checked multiplies), lanes whose products cross 2**53
-  (scalar backfill) and dimensions past int64 (overflow sieve);
-* zero-bandwidth links: ``inf`` (never ``nan``) propagation with one
-  deduped :class:`ReproWarning` shared with the scalar path;
+* the exactness machinery's edge lanes: a batch that fails the 2**53
+  screen goes lane by lane to the scalar oracle, and dimensions past
+  int64 are sieved to it (overflow sieve);
+* zero-bandwidth links: the grid refuses the machine, and the scalar
+  oracle propagates ``inf`` (never ``nan``) with exactly one
+  :class:`ReproWarning`;
 * the golden drift report pinning worst-case per-metric ULP error
   (all zeros) across the zoo.
 """
@@ -247,41 +248,42 @@ def test_property_random_layers_identical(
 def test_checked_mode_and_scalar_backfill_identical():
     """A batch whose worst lane breaks the 2**53 exactness screen.
 
-    The big lane's MAC count (~1.9e16) exceeds 2**53, so the whole
-    batch runs with checked multiplies, the big lane is flagged and
-    backfilled by the scalar oracle, and the small lane still goes
-    through the (now checked) vector path -- all bit-identical.
+    The big lane's MAC count (~1.0e16) exceeds 2**53, so the screen
+    declines the whole batch and every lane -- the small one too --
+    goes to the scalar oracle: plain results, no kernel lanes, all
+    bit-identical.
     """
     layers = [
-        ConvLayer(name="huge", c=4096, k=4096, r=3, s=3, h=256, w=256,
-                  batch=2),
+        ConvLayer(name="huge", c=65536, k=65536, r=3, s=3, h=256, w=256,
+                  batch=4),
         ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
     ]
     simulator = spacx_simulator()
     simulator.strict = False
     vec = simulate_layers_vectorized(simulator, layers)
     assert vec is not None
+    assert not any("_lane" in fast.__dict__ for fast in vec)
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name
 
 
 def test_overflow_sieve_identical():
-    """Dimensions whose products escape int64 entirely.
+    """A dimension that cannot even enter int64.
 
-    This lane trips the OverflowError retry: it is sieved out and
-    evaluated by the scalar oracle (exact Python ints), while the
-    surviving lane is still vectorized.
+    The int64 sieve sends that lane to the scalar oracle (exact Python
+    ints) before anything is lowered, while the surviving lane is
+    still a kernel lane -- all bit-identical.
     """
     layers = [
-        ConvLayer(name="astronomical", c=2**20, k=2**20, r=1, s=1,
-                  h=2**16, w=2**16),
+        ConvLayer(name="astronomical", c=2**63, k=8, r=1, s=1, h=8, w=8),
         ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
     ]
     simulator = spacx_simulator()
     simulator.strict = False
     vec = simulate_layers_vectorized(simulator, layers)
     assert vec is not None
+    assert ["_lane" in fast.__dict__ for fast in vec] == [False, True]
     for layer, fast in zip(layers, vec):
         slow = simulator.simulate_layer(layer, layer_by_layer=False)
         assert canonical(slow) == canonical(fast), layer.name
@@ -301,8 +303,9 @@ def _dead_dram_simulator() -> Simulator:
 
 
 def test_zero_bandwidth_inf_propagation_and_warning_dedup():
-    """A dead DRAM link yields inf (never nan) on both paths, with
-    exactly one ReproWarning shared through the per-(spec, link) memo."""
+    """A dead DRAM link: the grid refuses the machine, so every lane
+    takes the scalar oracle -- inf (never nan), with exactly one
+    ReproWarning shared through the per-(spec, link) memo."""
     simulator = _dead_dram_simulator()
     assert coverage_gap(simulator) is None
     layers = zoo_union_layers()[:6]

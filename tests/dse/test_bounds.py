@@ -6,13 +6,19 @@ machine trio over real workloads and check that the static-power
 "bound" is exact.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.popstar import popstar_simulator
 from repro.baselines.simba import simba_simulator
+from repro.core.layer import ConvLayer
+from repro.core.roofline import time_lower_bound, time_lower_bounds
+from repro.core.simulator import Simulator
 from repro.dse.bounds import (
     frontier_bounds,
     layer_bounds,
+    layer_bounds_batch,
     model_energy_lower_bound_mj,
     model_time_lower_bound_s,
     objective_lower_bound,
@@ -178,7 +184,7 @@ class TestFrontierBounds:
 
 
 class TestBoundsGrid:
-    """The 2-D grid floor table equals the scalar per-layer floors."""
+    """The grid floor table equals the scalar per-layer floors."""
 
     def test_rows_match_layer_bounds(self, machines, workloads):
         from repro.core.grid import bounds_grid, grid_gap, lane_covered
@@ -191,18 +197,106 @@ class TestBoundsGrid:
             if lane_covered(layer)
         ]
         assert layers
-        rows, reasons = bounds_grid(group, layers)
+        rows, reasons = bounds_grid(
+            [s.spec for s in group],
+            layers,
+            energies=[s.compute_energy for s in group],
+        )
         for simulator, row, reason in zip(group, rows, reasons):
             assert reason is None
             assert row is not None
             for layer, (t, e) in zip(layers, row):
                 assert (t, e) == layer_bounds(simulator, layer)
+        times, _ = bounds_grid([s.spec for s in group], layers)
+        for simulator, row in zip(group, times):
+            assert row == [
+                time_lower_bound(simulator.spec, layer) for layer in layers
+            ]
 
     def test_empty_layer_table(self, machines):
         from repro.core.grid import bounds_grid
 
+        group = [machines["simba"], machines["popstar"]]
         rows, reasons = bounds_grid(
-            [machines["simba"], machines["popstar"]], []
+            [s.spec for s in group],
+            [],
+            energies=[s.compute_energy for s in group],
         )
         assert rows == [[], []]
         assert reasons == [None, None]
+
+
+def _assert_batched_bounds_exact(simulator, layers):
+    """Both m = 1 bounds entry points equal the scalar helpers."""
+    assert layer_bounds_batch(simulator, layers) == [
+        layer_bounds(simulator, layer) for layer in layers
+    ]
+    assert time_lower_bounds(simulator.spec, layers) == [
+        time_lower_bound(simulator.spec, layer) for layer in layers
+    ]
+
+
+class TestBoundsEdgeLanes:
+    """Lanes the grid cannot prove exact take the scalar helpers."""
+
+    def test_screen_declined_batch(self):
+        from repro.core.grid import bounds_row
+
+        # The huge lane's MAC count (~1.0e16) crosses 2**53: the
+        # exactness screen declines the batch, and every lane --
+        # the small one too -- goes to the scalar helpers.
+        layers = [
+            ConvLayer(name="huge", c=65536, k=65536, r=3, s=3, h=256,
+                      w=256, batch=4),
+            ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
+        ]
+        simulator = spacx_simulator()
+        assert bounds_row(simulator.spec, layers) == [None, None]
+        _assert_batched_bounds_exact(simulator, layers)
+
+    def test_overflow_sieve(self):
+        from repro.core.grid import bounds_row
+
+        layers = [
+            ConvLayer(name="astronomical", c=2**63, k=8, r=1, s=1,
+                      h=8, w=8),
+            ConvLayer(name="small", c=8, k=8, r=3, s=3, h=8, w=8),
+        ]
+        simulator = spacx_simulator()
+        floors = bounds_row(simulator.spec, layers)
+        assert floors[0] is None and floors[1] is not None
+        assert layer_bounds_batch(simulator, layers[1:]) == [
+            layer_bounds(simulator, layers[1])
+        ]
+
+    def test_dead_link_floors(self):
+        from repro.core.grid import bounds_row, grid_gap
+
+        base = spacx_simulator()
+        spec = replace(base.spec, dram_bandwidth_gbps=1e-15)
+        simulator = Simulator(
+            spec, base.compute_energy, base.network_energy, strict=False
+        )
+        assert grid_gap(simulator) is not None  # evaluation: scalar
+        layers = get_model("MobileNetV2").unique_layers[:6]
+        # Bounds stay batched: a floor has no inf branch.
+        assert None not in bounds_row(spec, layers)
+        _assert_batched_bounds_exact(simulator, layers)
+
+    def test_machine_without_network_lowerer(self):
+        from repro.core.grid import bounds_row
+        from repro.core.vectorized import coverage_gap
+
+        class PlainNetwork:
+            pass
+
+        base = spacx_simulator()
+        simulator = Simulator(
+            base.spec, base.compute_energy, PlainNetwork(), strict=False
+        )
+        assert coverage_gap(simulator) is not None
+        layers = get_model("MobileNetV2").unique_layers[:6]
+        assert None not in bounds_row(
+            simulator.spec, layers, compute_energy=simulator.compute_energy
+        )
+        _assert_batched_bounds_exact(simulator, layers)

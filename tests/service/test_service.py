@@ -475,9 +475,9 @@ class TestOtherKinds:
 
 
 class TestGridPlan:
-    #: simba and popstar share one grid family: the auto planner must
-    #: serve their four jobs through the 2-D megabatch kernel (spacx
-    #: is a lone family and stays on the per-machine path).
+    #: simba and popstar share one grid family, spacx is a family of
+    #: its own: the auto planner serves all six jobs through the grid
+    #: kernel, one decision per family (spacx as a grid with m = 1).
     DENSE_CAMPAIGN = {
         "kind": "sweep",
         "machines": ["spacx", "simba", "popstar"],
@@ -515,7 +515,8 @@ class TestGridPlan:
             decision for decision in plan["decisions"]
             if decision["plan"] == "grid"
         ]
-        assert len(grid_decisions) == 1, plan  # the simba/popstar family
+        assert len(grid_decisions) == 2, plan  # simba/popstar and spacx
+        assert sum(d["jobs"] for d in grid_decisions) == 6
         assert plan["grid_lanes"] > 0
         assert not plan["grid_fallbacks"]
 
