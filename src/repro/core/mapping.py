@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .dataflow import DataflowKind
 from .layer import ConvLayer
 
-__all__ = ["MappingParameters", "Mapping", "map_layer"]
+__all__ = ["MappingParameters", "Mapping", "map_layer", "mac_utilization"]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -130,12 +130,16 @@ class Mapping:
 
     def utilization(self, params: MappingParameters) -> float:
         """Fraction of peak MACs actually used over the layer."""
-        peak = (
-            self.compute_cycles
-            * params.total_pes
-            * params.mac_vector_width
-        )
-        return self.layer.macs / peak if peak else 0.0
+        return mac_utilization(self.layer.macs, self.compute_cycles, params)
+
+
+def mac_utilization(
+    macs: int, compute_cycles: int, params: MappingParameters
+) -> float:
+    """Fraction of the peak MACs of ``compute_cycles`` cycles that
+    ``macs`` uses; 0.0 for a zero-cycle mapping."""
+    peak = compute_cycles * params.total_pes * params.mac_vector_width
+    return macs / peak if peak else 0.0
 
 
 def map_layer(

@@ -42,7 +42,8 @@ from typing import Any, Callable, Iterable
 
 from ..core.batch import SweepJob, SweepRunner
 from ..core.layer import LayerSet
-from ..core.metrics import ModelResult
+from ..core.mapping import mac_utilization
+from ..core.metrics import LANE_INDEX, ModelResult, lane_row
 from ..core.simulator import Simulator
 from ..errors import ConfigError
 from .bounds import (
@@ -72,6 +73,8 @@ STRATEGIES = ("exhaustive", "pruned", "halving")
 
 #: Pre-simulation feasibility filters, weakest to strongest.
 VALIDATION_MODES = ("none", "structural", "physics")
+
+_CYCLES = LANE_INDEX["compute_cycles"]
 
 
 @dataclass(frozen=True)
@@ -450,15 +453,18 @@ class SearchEngine:
         return scores
 
     def _score(self, entry: _Entry, output: ModelResult) -> CandidateScore:
+        # Lane rows and layers only: a lazy grid lane stays lazy.
         params = entry.simulator.spec.mapping_parameters()
         utilizations = [
-            r.mapping.utilization(params) for r in output.layers
+            mac_utilization(r.layer.macs, lane_row(r)[_CYCLES], params)
+            for r in output.layers
         ]
+        totals = output.totals()
         return CandidateScore(
             index=entry.candidate.index,
             config=entry.candidate.key,
-            execution_time_s=output.execution_time_s,
-            energy_mj=output.energy.total_mj,
+            execution_time_s=totals.execution_time_s,
+            energy_mj=totals.energy.total_mj,
             static_network_power_w=static_network_power_w(entry.simulator),
             mean_utilization=(
                 sum(utilizations) / len(utilizations) if utilizations else 0.0

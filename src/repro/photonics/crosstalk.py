@@ -41,6 +41,13 @@ class CrosstalkModel:
     rolloff_db_per_channel: float = 3.0
 
     def __post_init__(self) -> None:
+        # NaN slips past both comparisons below, and an infinite
+        # rolloff makes the adjacent channel's ``0 * inf`` a NaN: either
+        # would let every channel count validate clean.
+        if not math.isfinite(self.suppression_db):
+            raise ConfigError("suppression must be a finite number of dB")
+        if not math.isfinite(self.rolloff_db_per_channel):
+            raise ConfigError("rolloff must be a finite number of dB/channel")
         if self.suppression_db <= 0:
             raise ConfigError("suppression must be > 0 dB")
         if self.rolloff_db_per_channel < 0:

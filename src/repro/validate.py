@@ -266,12 +266,22 @@ def crosstalk_limited_channels(
     3 dB/channel rolloff the limit sits far above the 64-wavelength
     WDM density bound, so density -- not crosstalk -- binds; weaker
     suppression flips that, which is exactly what this check is for.
+
+    The walk is linear: ``inner`` is the left fold
+    ``0.0 + 2*r(1) + ... + 2*r(n-2)`` of the aggressors on both sides,
+    so ``inner + r(n-1)`` repeats the float additions of
+    :meth:`~repro.photonics.crosstalk.CrosstalkModel.total_leakage_ratio`
+    in the same order and the result is identical.
     """
+    ratio = crosstalk.aggressor_ratio
+    inner = 0.0
     feasible = 1
     for n_channels in range(2, search_limit + 1):
-        if crosstalk.total_leakage_ratio(n_channels) >= 0.5:
+        edge = ratio(n_channels - 1)
+        if inner + edge >= 0.5:
             return feasible
         feasible = n_channels
+        inner += 2 * edge
     return feasible
 
 

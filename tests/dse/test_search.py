@@ -3,7 +3,8 @@ validation modes and accounting."""
 
 import pytest
 
-from repro.core.batch import NullCache, SweepRunner
+from repro.core.batch import NullCache, SweepJob, SweepRunner
+from repro.core.metrics import LayerResult
 from repro.dse import (
     PRESETS,
     SearchEngine,
@@ -255,3 +256,77 @@ class TestResultSerialisation:
         assert frontier.front  # non-empty
         for member in frontier.front:
             assert member in result.evaluated
+
+
+def _scored_outputs(engine):
+    """Run an exhaustive search, keeping every (entry, output) the
+    engine scored."""
+    scored = []
+    score = engine._score
+
+    def spy(entry, output):
+        scored.append((entry, output))
+        return score(entry, output)
+
+    engine._score = spy
+    return engine.search("exhaustive"), scored
+
+
+def _object_path_score(entry, output):
+    """The score's fields through the built result objects."""
+    params = entry.simulator.spec.mapping_parameters()
+    utilizations = [r.mapping.utilization(params) for r in output.layers]
+    return (
+        output.execution_time_s.hex(),
+        output.energy.total_mj.hex(),
+        (sum(utilizations) / len(utilizations)).hex(),
+    )
+
+
+def _score_hex(score):
+    return (
+        score.execution_time_s.hex(),
+        score.energy_mj.hex(),
+        score.mean_utilization.hex(),
+    )
+
+
+class TestScorer:
+    """The scorer reads lane rows: same bits as the object path, and
+    kernel lanes stay lazy."""
+
+    def test_kernel_lanes_bit_identical_and_lazy(self):
+        result, scored = _scored_outputs(
+            _engine(validation="physics", objective="edp")
+        )
+        assert result.n_evaluated == len(scored) == 4
+        lazy = [
+            r for _, output in scored for r in output.layers
+            if type(r) is not LayerResult
+        ]
+        assert lazy  # the grid kernel published lazy lanes
+        assert all("_lane" in r.__dict__ for r in lazy)
+        for (entry, _), score in zip(scored, result.evaluated):
+            job = SweepJob(simulator=entry.simulator, model=entry.workload)
+            (fresh,) = SweepRunner(cache=NullCache(), manifest=False).run(
+                [job]
+            )
+            assert _score_hex(score) == _object_path_score(entry, fresh)
+
+    def test_built_object_lanes_score_identically(self):
+        lazy_result, _ = _scored_outputs(
+            _engine(validation="physics", objective="edp")
+        )
+        result, scored = _scored_outputs(
+            _engine(validation="physics", objective="edp", vectorize=False)
+        )
+        assert all(
+            type(r) is LayerResult and "_lane" not in r.__dict__
+            for _, output in scored
+            for r in output.layers
+        )
+        for (entry, output), score, lazy in zip(
+            scored, result.evaluated, lazy_result.evaluated
+        ):
+            assert _score_hex(score) == _score_hex(lazy)
+            assert _score_hex(score) == _object_path_score(entry, output)

@@ -1,9 +1,12 @@
 """Tests for the WDM crosstalk penalty model."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.photonics.crosstalk import DEFAULT_CROSSTALK, CrosstalkModel
 from repro.photonics.units import db_to_ratio
 
@@ -56,3 +59,11 @@ class TestPenalty:
             CrosstalkModel(suppression_db=0.0)
         with pytest.raises(ValueError):
             CrosstalkModel(suppression_db=25.0, rolloff_db_per_channel=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["suppression_db", "rolloff_db_per_channel"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError):
+            CrosstalkModel(**{field: value})

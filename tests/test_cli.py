@@ -330,6 +330,17 @@ class TestDoctorCommand:
         out = capsys.readouterr().out
         assert "PHO-WDM-DENSITY" in out
 
+    def test_doctor_non_finite_crosstalk_exits_nonzero(
+        self, capsys, restore_sweep_defaults, tmp_path
+    ):
+        config = tmp_path / "nan.json"
+        config.write_text(
+            '{"machine": "spacx", "crosstalk": {"suppression_db": NaN}}'
+        )
+        assert main(["doctor", "--config", str(config)]) == 1
+        out = capsys.readouterr().out
+        assert "bad crosstalk model" in out
+
     def test_doctor_malformed_config_exits_2(
         self, capsys, restore_sweep_defaults, tmp_path
     ):

@@ -9,7 +9,7 @@ from repro.photonics.components import (
     AGGRESSIVE_PARAMETERS,
     MODERATE_PARAMETERS,
 )
-from repro.photonics.crosstalk import CrosstalkModel
+from repro.photonics.crosstalk import DEFAULT_CROSSTALK, CrosstalkModel
 from repro.spacx.topology import SpacxTopology
 from repro.validate import (
     MAX_LAUNCH_POWER_PER_WAVELENGTH_MW,
@@ -107,6 +107,56 @@ class TestPhotonicParameters:
             {"receiver_sensitivity_dbm": 3.0}
         )
         assert any(d.code == "PHO-SENS" for d in report.errors)
+
+
+def _quadratic_crosstalk_limit(crosstalk, search_limit=512):
+    """The reference walk: the full leakage sum at every channel count."""
+    feasible = 1
+    for n_channels in range(2, search_limit + 1):
+        if crosstalk.total_leakage_ratio(n_channels) >= 0.5:
+            return feasible
+        feasible = n_channels
+    return feasible
+
+
+class TestCrosstalkLimitedChannels:
+    @pytest.mark.parametrize("rolloff", [0.0, 0.5, 1.0, 3.0, 6.0])
+    @pytest.mark.parametrize(
+        "suppression", [0.1, 1.0, 3.0, 4.5, 6.0, 8.0, 12.0, 25.0, 30.0]
+    )
+    def test_matches_quadratic_walk(self, suppression, rolloff):
+        model = CrosstalkModel(suppression, rolloff)
+        for limit in (1, 2, 3, 5, 17, 64, 160):
+            assert crosstalk_limited_channels(model, limit) == (
+                _quadratic_crosstalk_limit(model, limit)
+            ), (suppression, rolloff, limit)
+
+    def test_matches_quadratic_walk_at_default_limit(self):
+        assert crosstalk_limited_channels() == _quadratic_crosstalk_limit(
+            DEFAULT_CROSSTALK
+        )
+
+    def test_weak_suppression_binds_before_the_limit(self):
+        # <= 6 dB adjacent suppression stops the walk within a few
+        # channels, so the early exit is what the oracle comparison hits.
+        for suppression in (0.1, 3.0, 4.5, 6.0):
+            model = CrosstalkModel(suppression, 0.0)
+            limit = crosstalk_limited_channels(model, 64)
+            assert limit < 64
+            assert limit == _quadratic_crosstalk_limit(model, 64)
+
+    def test_aggressor_ratio_calls_are_linear(self, monkeypatch):
+        calls = 0
+        ratio = CrosstalkModel.aggressor_ratio
+
+        def counted(self, distance):
+            nonlocal calls
+            calls += 1
+            return ratio(self, distance)
+
+        monkeypatch.setattr(CrosstalkModel, "aggressor_ratio", counted)
+        assert crosstalk_limited_channels(DEFAULT_CROSSTALK) == 512
+        assert 0 < calls <= 512
 
 
 class TestWdmDensity:
@@ -235,6 +285,22 @@ class TestRawConfig:
     def test_non_integer_knob_is_error(self):
         report = validate_raw_config({"machine": "spacx", "chiplets": "many"})
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "field", ["suppression_db", "rolloff_db_per_channel"]
+    )
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_crosstalk_is_error(self, field, value):
+        # json accepts the NaN / Infinity literals a config file may hold.
+        raw = json.loads(
+            f'{{"machine": "spacx", "crosstalk": {{"{field}": {value}}}}}'
+        )
+        report = validate_raw_config(raw)
+        assert not report.ok
+        assert any(
+            d.code == "DOC-TYPE" and "bad crosstalk model" in d.message
+            for d in report.errors
+        )
 
     def test_report_is_json_serialisable(self):
         report = validate_raw_config(
