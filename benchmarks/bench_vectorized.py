@@ -12,10 +12,11 @@ kernel per model.
 Asserted claims (the ISSUE 6 acceptance bar):
 
 * the vectorized sweep is >= 5x faster end-to-end than the scalar
-  serial pass on the same campaign (>= 10x is typical on idle
-  hardware; the CI bar leaves headroom for noisy runners);
+  oracle (``Simulator.simulate_model`` per job) on the same campaign
+  (>= 10x is typical on idle hardware; the CI bar leaves headroom for
+  noisy runners);
 * the vectorized campaign's serialized results are byte-identical to
-  the scalar pass -- the speedup buys nothing if a single bit drifts.
+  the oracle's -- the speedup buys nothing if a single bit drifts.
 
 The measured numbers land in ``BENCH_vectorized.json`` so CI can
 track the perf trajectory across PRs.
@@ -33,7 +34,7 @@ from repro.models.zoo import EXTENDED_MODELS, get_model
 from repro.serialization import model_result_to_dict
 from repro.validate import machine_zoo
 
-#: The acceptance threshold: vectorized vs scalar, same serial runner.
+#: The acceptance threshold: vectorized serial runner vs scalar oracle.
 SPEEDUP_THRESHOLD = 5.0
 
 #: Where the perf-trajectory record lands (repo root under CI).
@@ -62,30 +63,36 @@ def _canonical(results) -> str:
     )
 
 
-def _timed_run(vectorize: bool):
-    """Best-of-N cold-cache serial passes; returns (results, seconds)."""
+def _run_oracle(jobs):
+    return [job.simulator.simulate_model(job.model) for job in jobs]
+
+
+def _run_vectorized(jobs):
+    runner = batch.SweepRunner(
+        max_workers=1, cache=batch.NullCache(), manifest=False
+    )
+    out = runner.run(jobs)
+    assert not runner.vectorized_fallbacks, runner.vectorized_fallbacks
+    return out
+
+
+def _timed_run(run):
+    """Best-of-N cold passes over fresh jobs; returns (results, seconds)."""
     best = None
     results = None
     for _ in range(REPEATS):
-        runner = batch.SweepRunner(
-            max_workers=1,
-            cache=batch.NullCache(),
-            manifest=False,
-            vectorize=vectorize,
-        )
         jobs = _campaign()
         start = time.perf_counter()
-        out = runner.run(jobs)
+        out = run(jobs)
         elapsed = time.perf_counter() - start
-        assert not runner.vectorized_fallbacks, runner.vectorized_fallbacks
         if best is None or elapsed < best:
             best, results = elapsed, out
     return results, best
 
 
 def test_vectorized_5x_faster_than_scalar_and_byte_identical():
-    scalar, scalar_s = _timed_run(vectorize=False)
-    fast, fast_s = _timed_run(vectorize=True)
+    scalar, scalar_s = _timed_run(_run_oracle)
+    fast, fast_s = _timed_run(_run_vectorized)
 
     # Bit-identical guarantee first: the kernel changes *how* metrics
     # are computed, never what they are.
@@ -131,10 +138,7 @@ def test_vectorized_kernel_carries_the_campaign():
     """The fast path really is the fast path: no structural fallbacks
     and no silent per-job scalar detours on the stock zoo."""
     runner = batch.SweepRunner(
-        max_workers=1,
-        cache=batch.NullCache(),
-        manifest=False,
-        vectorize=True,
+        max_workers=1, cache=batch.NullCache(), manifest=False
     )
     results = runner.run(_campaign())
     assert all(result is not None for result in results)

@@ -147,31 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(enabled by default; violating results become job failures)",
     )
     parser.add_argument(
-        "--pool-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fix the pool's jobs-per-dispatch batch size "
-        "(default: adaptive chunking)",
-    )
-    vectorize_group = parser.add_mutually_exclusive_group()
-    vectorize_group.add_argument(
-        "--vectorize",
-        dest="vectorize",
-        action="store_true",
-        default=None,
-        help="evaluate sweep cache misses through the batched NumPy "
-        "kernel (the default; bit-identical to the scalar simulator, "
-        "~an order of magnitude faster on full-zoo sweeps)",
-    )
-    vectorize_group.add_argument(
-        "--no-vectorize",
-        dest="vectorize",
-        action="store_false",
-        help="force every evaluation through the scalar simulator "
-        "(the oracle path; also $REPRO_SWEEP_VECTORIZE=0)",
-    )
-    parser.add_argument(
         "--exec-plan",
         choices=("auto", "pool", "serial"),
         default=None,
@@ -514,6 +489,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_model_result(result, *, per_layer: bool) -> None:
+    """The metric lines ``repro run`` prints for one model result."""
+    energy = result.energy
+    print(f"{result.accelerator} / {result.model}")
+    print(f"  execution time : {result.execution_time_s * 1e3:.3f} ms")
+    print(f"    computation  : {result.computation_time_s * 1e3:.3f} ms")
+    print(f"    communication: {result.exposed_communication_s * 1e3:.3f} ms (exposed)")
+    print(f"  energy         : {energy.total_mj:.2f} mJ")
+    print(f"    network      : {energy.network_mj:.2f} mJ")
+    print(f"    other        : {energy.other_mj:.2f} mJ")
+    print(f"  packet latency : {result.mean_packet_latency_s * 1e9:.1f} ns")
+    print(f"  throughput     : {result.throughput_gbps:.1f} Gbps")
+    if per_layer:
+        headers = ["layer", "exec (us)", "comp (us)", "E (mJ)"]
+        seen = set()
+        rows = []
+        for layer_result in result.layers:
+            key = layer_result.layer.shape_key
+            if key in seen:
+                continue
+            seen.add(key)
+            rows.append(
+                [
+                    layer_result.layer.name,
+                    layer_result.execution_time_s * 1e6,
+                    layer_result.computation_time_s * 1e6,
+                    layer_result.energy.total_mj,
+                ]
+            )
+        print()
+        print(format_table(headers, rows))
+
+
 def _command_run(args: argparse.Namespace) -> int:
     simulator = _MACHINES[args.machine]()
     model = get_model(args.model)
@@ -536,35 +544,7 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"failed: {failure.describe()}", file=sys.stderr)
         print("run did not complete", file=sys.stderr)
         return EXIT_FAILURE if runner.failures else EXIT_OK
-    energy = result.energy
-    print(f"{result.accelerator} / {result.model}")
-    print(f"  execution time : {result.execution_time_s * 1e3:.3f} ms")
-    print(f"    computation  : {result.computation_time_s * 1e3:.3f} ms")
-    print(f"    communication: {result.exposed_communication_s * 1e3:.3f} ms (exposed)")
-    print(f"  energy         : {energy.total_mj:.2f} mJ")
-    print(f"    network      : {energy.network_mj:.2f} mJ")
-    print(f"    other        : {energy.other_mj:.2f} mJ")
-    print(f"  packet latency : {result.mean_packet_latency_s * 1e9:.1f} ns")
-    print(f"  throughput     : {result.throughput_gbps:.1f} Gbps")
-    if args.per_layer:
-        headers = ["layer", "exec (us)", "comp (us)", "E (mJ)"]
-        seen = set()
-        rows = []
-        for layer_result in result.layers:
-            key = layer_result.layer.shape_key
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(
-                [
-                    layer_result.layer.name,
-                    layer_result.execution_time_s * 1e6,
-                    layer_result.computation_time_s * 1e6,
-                    layer_result.energy.total_mj,
-                ]
-            )
-        print()
-        print(format_table(headers, rows))
+    _print_model_result(result, per_layer=args.per_layer)
     stats = runner.stats[0]
     cache_stats = runner.cache.stats
     print(
@@ -1169,8 +1149,6 @@ def main(argv: list[str] | None = None) -> int:
         on_error=args.on_error,
         resume=True if args.resume else None,
         audit=False if args.no_audit else None,
-        pool_batch=args.pool_batch,
-        vectorize=args.vectorize,
         exec_plan=args.exec_plan,
         budget=budget,
         retry_quarantined=True if args.retry_quarantined else None,

@@ -91,7 +91,6 @@ __all__ = [
     "configure",
     "default_budget",
     "default_exec_plan",
-    "default_vectorize",
     "default_workers",
     "default_cache",
     "default_manifest",
@@ -664,7 +663,6 @@ def simulate_model_cached(
     layer_by_layer: bool = False,
     cache: "ResultCache | NullCache | None" = None,
     fingerprint: str | None = None,
-    vectorize: bool | None = None,
     on_fallback: Callable[[str], None] | None = None,
 ) -> ModelResult:
     """``Simulator.simulate_model`` through the content-addressed cache.
@@ -674,101 +672,23 @@ def simulate_model_cached(
     occurrence's name, so the output is indistinguishable from an
     uncached run.
 
-    ``vectorize`` (default: :func:`default_vectorize`) routes cache
-    misses through the batched NumPy kernel
-    (:mod:`repro.core.vectorized`), which is bit-identical to the
-    scalar path; anything outside the kernel's coverage registry falls
-    back to the scalar oracle and reports why through ``on_fallback``.
-    Cache-stat accounting (one lookup per unique shape, one put per
-    miss) is the same either way.
+    Every unique shape is resolved against the cache first (one lookup
+    per unique shape, one put per miss); the misses are then evaluated
+    as **one batch** through the array kernel
+    (:func:`repro.core.vectorized.simulate_layers_vectorized`), which is
+    bit-identical to the scalar path.  A coverage gap or a whole-batch
+    kernel decline (strict audit bailout) runs the misses on the scalar
+    oracle instead -- same results, one ``on_fallback(reason)`` call.
     """
+    from .vectorized import coverage_gap, simulate_layers_vectorized
+
     if cache is None:
         cache = default_cache()
     if fingerprint is None:
         fingerprint = simulator_fingerprint(simulator)
-    if vectorize is None:
-        vectorize = default_vectorize()
-    if vectorize:
-        return _simulate_model_cached_vectorized(
-            simulator,
-            model,
-            layer_by_layer,
-            cache,
-            fingerprint,
-            on_fallback,
-        )
-    result = ModelResult(accelerator=simulator.spec.name, model=model.name)
-    # Inlined hot loop: this runs once per layer of every model of a
-    # campaign, so the per-layer cost is kept to a couple of dict
-    # operations (key memo, local dedup, cache lookup).
-    local: dict[tuple[int, ...], LayerResult] = {}
-    local_get = local.get
-    append = result.layers.append
-    cache_get = cache.get
-    memo_get = _KEY_MEMO.get
-    # Memory-tier fast path: for the concrete ResultCache the common
-    # "already in memory" case is answered by one dict probe instead
-    # of a method call (stats stay exact -- the counters below mirror
-    # ``ResultCache.get``); any other cache object goes through its
-    # ``get`` untouched.
-    memory_get = (
-        cache._memory.get if type(cache) is ResultCache else None
-    )
-    for layer in model.all_layers:
-        shape = layer.shape_key
-        cached = local_get(shape)
-        if cached is None:
-            key = memo_get((fingerprint, shape, layer_by_layer))
-            if key is None:
-                key = layer_cache_key(fingerprint, layer, layer_by_layer)
-            if memory_get is not None and (cached := memory_get(key)) is not None:
-                cache._hits += 1
-                if cache._lru_active:
-                    cache._memory.move_to_end(key)
-            else:
-                cached = cache_get(key)
-            if cached is None:
-                cached = simulator.simulate_layer(
-                    layer, layer_by_layer=layer_by_layer
-                )
-                cache.put(key, cached)
-            elif cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            local[shape] = cached
-        append(cached)
-    return result
-
-
-def _simulate_model_cached_vectorized(
-    simulator: Simulator,
-    model: LayerSet,
-    layer_by_layer: bool,
-    cache,
-    fingerprint: str,
-    on_fallback: Callable[[str], None] | None,
-) -> ModelResult:
-    """Vectorized twin of the ``simulate_model_cached`` hot loop.
-
-    Pass 1 resolves every unique shape against the cache with exactly
-    the scalar loop's stat accounting; the misses are then evaluated
-    as **one batch** through the NumPy kernel.  A coverage gap or a
-    whole-batch kernel decline (strict audit bailout) re-routes to the
-    scalar oracle -- same results, one ``on_fallback(reason)`` call.
-    """
-    from .vectorized import coverage_gap, simulate_layers_vectorized
-
     gap = coverage_gap(simulator)
-    if gap is not None:
-        if on_fallback is not None:
-            on_fallback(gap)
-        return simulate_model_cached(
-            simulator,
-            model,
-            layer_by_layer=layer_by_layer,
-            cache=cache,
-            fingerprint=fingerprint,
-            vectorize=False,
-        )
+    if gap is not None and on_fallback is not None:
+        on_fallback(gap)
     result = ModelResult(accelerator=simulator.spec.name, model=model.name)
     unique, shapes, occ = _model_structure(model)
     resolved: list[LayerResult | None] = [None] * len(unique)
@@ -776,6 +696,11 @@ def _simulate_model_cached_vectorized(
     missing_keys: list[str] = []
     memo_get = _KEY_MEMO.get
     cache_get = cache.get
+    # Memory-tier fast path: for the concrete ResultCache the common
+    # "already in memory" case is answered by one dict probe instead
+    # of a method call (stats stay exact -- the counters below mirror
+    # ``ResultCache.get``); any other cache object goes through its
+    # ``get`` untouched.
     memory_get = cache._memory.get if type(cache) is ResultCache else None
     for i, (layer, shape) in enumerate(zip(unique, shapes)):
         key = memo_get((fingerprint, shape, layer_by_layer))
@@ -795,32 +720,31 @@ def _simulate_model_cached_vectorized(
                 cached = _rebind_layer(cached, layer)
             resolved[i] = cached
     if missing_index:
-        built = simulate_layers_vectorized(
-            simulator,
-            [unique[i] for i in missing_index],
-            layer_by_layer=layer_by_layer,
-        )
-        if built is None:
-            # Whole-batch decline: a strict simulator with an
-            # invariant-dirty lane.  The scalar loop reproduces the
-            # exact raise (and caches whatever completed before it).
-            if on_fallback is not None:
+        built = None
+        if gap is None:
+            built = simulate_layers_vectorized(
+                simulator,
+                [unique[i] for i in missing_index],
+                layer_by_layer=layer_by_layer,
+            )
+            if built is None and on_fallback is not None:
                 on_fallback(
                     "kernel declined the batch (strict invariant bailout)"
                 )
-            for i, key in zip(missing_index, missing_keys):
-                layer_result = simulator.simulate_layer(
-                    unique[i], layer_by_layer=layer_by_layer
-                )
-                cache.put(key, layer_result)
-                resolved[i] = layer_result
-        else:
-            cache_put = cache.put
-            for i, key, layer_result in zip(missing_index, missing_keys, built):
-                cache_put(key, layer_result)
-                resolved[i] = layer_result
+        if built is None:
+            # The scalar oracle: a coverage gap, or a strict simulator
+            # with an invariant-dirty lane, whose exact raise it
+            # reproduces (caching whatever completed before it).
+            built = (
+                simulator.simulate_layer(unique[i], layer_by_layer=layer_by_layer)
+                for i in missing_index
+            )
+        cache_put = cache.put
+        for i, key, layer_result in zip(missing_index, missing_keys, built):
+            cache_put(key, layer_result)
+            resolved[i] = layer_result
     result.layers.extend(map(resolved.__getitem__, occ))
-    if resolved:
+    if resolved and gap is None:
         # Model-level pre-audit marker: when every unique layer result
         # carries the kernel's per-layer marker for this exact spec
         # object, ``audit_model_result`` can skip the whole
@@ -840,19 +764,11 @@ def _simulate_model_cached_vectorized(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepJob:
-    """One (machine, model) unit of work in a campaign.
-
-    ``vectorize=None`` defers to the runner executing the job (or, for
-    a bare :func:`_execute_job`, to :func:`default_vectorize`).
-    """
+    """One (machine, model) unit of work in a campaign."""
 
     simulator: Simulator
     model: LayerSet
     layer_by_layer: bool = False
-    #: Per-job override of the batched-kernel fast path.  Not part of
-    #: the campaign content key: the vectorized path is bit-identical,
-    #: so a manifest written with either setting resumes under both.
-    vectorize: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -942,17 +858,11 @@ class SweepJobError(RuntimeError):
 
 def _execute_job(job: SweepJob) -> ModelResult:
     """Worker-side job body (must stay module-level for pickling)."""
-    vectorize = getattr(job, "vectorize", None)
-    if vectorize is None:
-        vectorize = default_vectorize()
-    if vectorize:
-        from .vectorized import simulate_model_vectorized
-
-        return simulate_model_vectorized(
-            job.simulator, job.model, layer_by_layer=job.layer_by_layer
-        )
-    return job.simulator.simulate_model(
-        job.model, layer_by_layer=job.layer_by_layer
+    return simulate_model_cached(
+        job.simulator,
+        job.model,
+        layer_by_layer=job.layer_by_layer,
+        cache=NullCache(),
     )
 
 
@@ -1017,7 +927,6 @@ class SweepRunner:
         progress: Callable[[JobStats], None] | None = None,
         audit: bool | None = None,
         pool_batch: int | None = None,
-        vectorize: bool | None = None,
         budget: "CampaignBudget | None | bool" = None,
         retry_quarantined: bool | None = None,
         exec_plan: str | None = None,
@@ -1051,20 +960,9 @@ class SweepRunner:
         #: never retried.
         self.audit = _defaults.audit if audit is None else audit
         #: Fixed batch size per dispatch (None: adaptive chunking).
-        self.pool_batch = (
-            _defaults.pool_batch if pool_batch is None else pool_batch
-        )
+        self.pool_batch = pool_batch
         if self.pool_batch is not None and self.pool_batch < 1:
             raise ValueError("pool_batch must be >= 1 (or None)")
-        #: Route cache misses through the batched NumPy kernel
-        #: (:mod:`repro.core.vectorized`) -- bit-identical to the
-        #: scalar path by construction, ~an order of magnitude faster
-        #: on full-zoo sweeps.  Jobs may override per-job via
-        #: ``SweepJob.vectorize``; coverage gaps fall back to scalar
-        #: and are recorded in :attr:`vectorized_fallbacks`.
-        self.vectorize = (
-            default_vectorize() if vectorize is None else bool(vectorize)
-        )
         #: ``(job index, accelerator, model, reason)`` records of jobs
         #: the kernel structurally declined during the last
         #: :meth:`run` (serial path; surfaced by
@@ -1342,34 +1240,23 @@ class SweepRunner:
             abandoned = False
             wall_times: list[float] = []
             backoff_total = 0.0
-            job_vectorize = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if job_vectorize:
-                recorded: set[str] = set()
+            recorded: set[str] = set()
 
-                def on_fallback(
-                    reason: str,
-                    *,
-                    _index=index,
-                    _job=job,
-                    _recorded=recorded,
-                ) -> None:
-                    if reason in _recorded:
-                        return  # one record per job, not per attempt
-                    _recorded.add(reason)
-                    self.vectorized_fallbacks.append(
-                        (
-                            _index,
-                            _job.simulator.spec.name,
-                            _job.model.name,
-                            reason,
-                        )
+            def on_fallback(
+                reason: str, *, _index=index, _job=job, _recorded=recorded
+            ) -> None:
+                if reason in _recorded:
+                    return  # one record per job, not per attempt
+                _recorded.add(reason)
+                self.vectorized_fallbacks.append(
+                    (
+                        _index,
+                        _job.simulator.spec.name,
+                        _job.model.name,
+                        reason,
                     )
-            else:
-                on_fallback = None
+                )
+
             while True:
                 attempts += 1
                 before = (self.cache.stats.hits, self.cache.stats.misses)
@@ -1381,7 +1268,6 @@ class SweepRunner:
                         layer_by_layer=job.layer_by_layer,
                         cache=self.cache,
                         fingerprint=fingerprints[sim_id],
-                        vectorize=job_vectorize,
                         on_fallback=on_fallback,
                     )
                     if self.audit:
@@ -1604,8 +1490,8 @@ class SweepRunner:
         ``True`` when every job's machine rides the array kernel and
         the total unique-lane count is small enough that per-job
         process dispatch would cost more than the compute itself.
-        Scalar or grid-gap jobs never qualify -- their per-job compute
-        is real and parallelism still pays.
+        Grid-gap jobs never qualify -- they run on the scalar oracle,
+        so their per-job compute is real and parallelism still pays.
         """
         if self.max_workers <= 1 or len(jobs) <= 1:
             return False  # _dispatch_pool already runs these serially
@@ -1614,13 +1500,6 @@ class SweepRunner:
         gaps: dict[int, bool] = {}
         lanes = 0
         for job in jobs:
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                return False
             sim_id = id(job.simulator)
             if sim_id not in gaps:
                 gaps[sim_id] = grid_gap(job.simulator) is not None
@@ -1634,9 +1513,9 @@ class SweepRunner:
     def _plan_grid_groups(self, sub: Sequence[SweepJob]) -> tuple:
         """Partition jobs into grid-eligible family groups + leftovers.
 
-        A job is grid-eligible when it takes the vectorized path, its
-        machine passes :func:`repro.core.grid.grid_gap` and every
-        unique layer of its model passes the int64 sieve.  Eligible
+        A job is grid-eligible when its machine passes
+        :func:`repro.core.grid.grid_gap` and every unique layer of its
+        model passes the int64 sieve.  Eligible
         jobs group by :func:`repro.core.grid.family_key`; every group
         grids, a one-machine family as a grid with m = 1 (one union
         batch over all of that machine's models).
@@ -1648,14 +1527,6 @@ class SweepRunner:
         covered: dict[int, bool] = {}
         groups: dict[tuple, dict] = {}
         for pos, job in enumerate(sub):
-            vec = (
-                self.vectorize
-                if getattr(job, "vectorize", None) is None
-                else job.vectorize
-            )
-            if not vec:
-                leftover.append(pos)
-                continue
             sim_id = id(job.simulator)
             if sim_id not in gaps:
                 gaps[sim_id] = grid_mod.grid_gap(job.simulator)
@@ -2681,8 +2552,6 @@ class _SweepDefaults:
     on_error: str = "raise"
     resume: bool = False
     audit: bool = True
-    pool_batch: int | None = None
-    vectorize: bool | None = None
     budget: "CampaignBudget | None" = None
     retry_quarantined: bool = False
     exec_plan: str | None = None
@@ -2718,8 +2587,6 @@ def configure(
     on_error: str | None = None,
     resume: bool | None = None,
     audit: bool | None = None,
-    pool_batch: int | None = None,
-    vectorize: bool | None = None,
     budget: "CampaignBudget | None | bool" = None,
     retry_quarantined: bool | None = None,
     exec_plan: str | None = None,
@@ -2754,12 +2621,6 @@ def configure(
         _defaults.resume = resume
     if audit is not None:
         _defaults.audit = audit
-    if pool_batch is not None:
-        if pool_batch < 1:
-            raise ValueError("pool_batch must be >= 1")
-        _defaults.pool_batch = pool_batch
-    if vectorize is not None:
-        _defaults.vectorize = vectorize
     if budget is not None:
         _defaults.budget = None if budget is False else budget
     if retry_quarantined is not None:
@@ -2795,16 +2656,6 @@ def default_exec_plan() -> str:
         return _defaults.exec_plan
     plan = os.environ.get("REPRO_SWEEP_PLAN", "auto").strip().lower()
     return plan if plan in _EXEC_PLANS else "auto"
-
-
-def default_vectorize() -> bool:
-    """Batched-kernel default: ``configure()`` >
-    ``$REPRO_SWEEP_VECTORIZE`` > on.  (When NumPy is unavailable the
-    kernel's coverage registry declines every batch, so leaving this
-    on is always safe.)"""
-    if _defaults.vectorize is not None:
-        return _defaults.vectorize
-    return os.environ.get("REPRO_SWEEP_VECTORIZE", "1") != "0"
 
 
 def _close_pool(pool) -> None:

@@ -198,17 +198,15 @@ def _pool_worker_main(
                 fingerprint = _warm_fingerprint(job.simulator, fingerprints)
                 hits_before = cache._hits
                 misses_before = cache._misses
+                # Structural fallbacks are silent here (bit-identical
+                # results either way -- the serial path is where
+                # fallback reasons are surfaced).
                 result = simulate_model_cached(
                     job.simulator,
                     job.model,
                     layer_by_layer=job.layer_by_layer,
                     cache=cache,
                     fingerprint=fingerprint,
-                    # Per-job override or the worker process's own
-                    # default; structural fallbacks are silent here
-                    # (bit-identical results either way -- the serial
-                    # path is where fallback reasons are surfaced).
-                    vectorize=getattr(job, "vectorize", None),
                 )
                 result_conn.send(
                     (

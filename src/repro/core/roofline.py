@@ -195,31 +195,22 @@ def time_lower_bounds(
     layers,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> list[float]:
     """:func:`time_lower_bound` over many layers, batched.
 
     Routes the covered lanes through the array kernel's
-    :func:`~repro.core.grid.bounds_grid` with m = 1 when enabled
-    (bit-identical by construction); sieved lanes -- and every lane
-    when the spec is outside coverage or the exactness screen declines
-    the batch -- take the scalar helper, so the output is always
-    element-wise equal to ``[time_lower_bound(spec, l) for l in
-    layers]``.  ``vectorize=None`` defers to the campaign default
-    (:func:`repro.core.batch.default_vectorize`).
+    :func:`~repro.core.grid.bounds_grid` with m = 1 (bit-identical by
+    construction); sieved lanes -- and every lane when the spec is
+    outside coverage or the exactness screen declines the batch --
+    take the scalar helper, so the output is always element-wise equal
+    to ``[time_lower_bound(spec, l) for l in layers]``.
     """
+    from .grid import bounds_row
+
     layers = list(layers)
     if not layers:
         return []
-    if vectorize is None:
-        from .batch import default_vectorize
-
-        vectorize = default_vectorize()
-    floors: "list[float | None]" = [None] * len(layers)
-    if vectorize:
-        from .grid import bounds_row
-
-        floors = bounds_row(spec, layers, layer_by_layer=layer_by_layer)
+    floors = bounds_row(spec, layers, layer_by_layer=layer_by_layer)
     return [
         time_lower_bound(spec, layer, layer_by_layer=layer_by_layer)
         if floor is None

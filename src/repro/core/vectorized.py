@@ -43,7 +43,7 @@ import math
 import threading
 import weakref
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 try:  # pragma: no cover - numpy ships with the toolchain
     import numpy as np
@@ -57,12 +57,9 @@ from ..energy.mac import MacEnergyModel
 from .accelerator import AcceleratorSpec
 from .dataflow import DataflowKind
 from .layer import ACTIVATION_BITS, PSUM_BITS, WEIGHT_BITS, ConvLayer
-from .metrics import LayerResult, ModelResult
+from .metrics import LayerResult
 from .simulator import Simulator
 from .traffic import NetworkCapabilities
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .layer import LayerSet
 
 __all__ = [
     "coverage_gap",
@@ -70,7 +67,6 @@ __all__ = [
     "spec_coverage_gap",
     "register_network_lowerer",
     "simulate_layers_vectorized",
-    "simulate_model_vectorized",
 ]
 
 #: Above this, int64 -> float64 conversion (and therefore NumPy's
@@ -779,33 +775,3 @@ def simulate_layers_vectorized(
         if out[i] is None:
             out[i] = simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
     return out
-
-
-def simulate_model_vectorized(
-    simulator: Simulator,
-    layers: "LayerSet",
-    layer_by_layer: bool = False,
-) -> ModelResult:
-    """Vectorized twin of ``Simulator.simulate_model``.
-
-    Shape-duplicate layers share one result object exactly like the
-    scalar loop; on any kernel decline the whole model falls back to
-    the scalar simulator.
-    """
-    if coverage_gap(simulator) is not None:
-        return simulator.simulate_model(layers, layer_by_layer=layer_by_layer)
-    all_layers = layers.all_layers
-    order = [layer.shape_key for layer in all_layers]
-    pending: dict = {}
-    setdefault = pending.setdefault
-    for key, layer in zip(order, all_layers):
-        setdefault(key, layer)
-    batch = simulate_layers_vectorized(
-        simulator, list(pending.values()), layer_by_layer=layer_by_layer
-    )
-    if batch is None:
-        return simulator.simulate_model(layers, layer_by_layer=layer_by_layer)
-    by_shape = dict(zip(pending, batch))
-    result = ModelResult(accelerator=simulator.spec.name, model=layers.name)
-    result.layers.extend(map(by_shape.__getitem__, order))
-    return result

@@ -89,36 +89,28 @@ def layer_bounds_batch(
     layers,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> list[tuple[float, float]]:
     """:func:`layer_bounds` over many layers, batched.
 
     Routes the covered lanes through the array kernel's
-    :func:`~repro.core.grid.bounds_grid` with m = 1 when enabled
-    (bit-identical floors by construction); sieved lanes -- and every
-    lane when the machine is outside bounds coverage or the exactness
-    screen declines the batch -- fall back to the scalar helper, so the
-    output is always element-wise equal to ``[layer_bounds(simulator,
-    l) for l in layers]``.  ``vectorize=None`` defers to the campaign
-    default (:func:`repro.core.batch.default_vectorize`).
+    :func:`~repro.core.grid.bounds_grid` with m = 1 (bit-identical
+    floors by construction); sieved lanes -- and every lane when the
+    machine is outside bounds coverage or the exactness screen declines
+    the batch -- fall back to the scalar helper, so the output is
+    always element-wise equal to ``[layer_bounds(simulator, l) for l
+    in layers]``.
     """
+    from ..core.grid import bounds_row
+
     layers = list(layers)
     if not layers:
         return []
-    if vectorize is None:
-        from ..core.batch import default_vectorize
-
-        vectorize = default_vectorize()
-    pairs: "list[tuple[float, float] | None]" = [None] * len(layers)
-    if vectorize:
-        from ..core.grid import bounds_row
-
-        pairs = bounds_row(
-            simulator.spec,
-            layers,
-            compute_energy=simulator.compute_energy,
-            layer_by_layer=layer_by_layer,
-        )
+    pairs = bounds_row(
+        simulator.spec,
+        layers,
+        compute_energy=simulator.compute_energy,
+        layer_by_layer=layer_by_layer,
+    )
     return [
         layer_bounds(simulator, layer, layer_by_layer=layer_by_layer)
         if pair is None
@@ -132,9 +124,9 @@ def model_time_lower_bound_s(
 ) -> float:
     """Admissible floor on ``simulate_model(model).execution_time_s``.
 
-    The per-layer floors come from the batched kernel when enabled;
-    the sum runs in ``unique_layers`` order either way, so the value
-    is bit-identical to the serial accumulation.
+    The per-layer floors come from the batched kernel; the sum runs in
+    ``unique_layers`` order, so the value is bit-identical to the
+    serial accumulation.
     """
     unique = model.unique_layers
     floors = time_lower_bounds(
@@ -176,16 +168,15 @@ def objective_lower_bound(
     objective: str,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> float:
     """Admissible lower bound on one candidate's objective value.
 
     Admissibility per objective is proven layer-wise (module
     docstring) and verified zoo-wide in ``tests/dse/test_bounds.py``.
-    The per-layer floors take the batched kernel path when enabled
-    (``vectorize=None`` defers to the campaign default) and are
-    bit-identical to the scalar derivation either way, so pruning
-    decisions cannot depend on the setting.
+    The per-layer floors take the batched kernel path and are
+    bit-identical to the scalar derivation (:func:`layer_bounds`,
+    :func:`time_lower_bound`), so pruning decisions cannot depend on
+    which path computed them.
     """
     if objective == "static_power":
         power = static_network_power_w(simulator)
@@ -196,19 +187,13 @@ def objective_lower_bound(
     energy_floor = 0.0
     if objective == "execution_time":
         floors = time_lower_bounds(
-            simulator.spec,
-            unique,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
+            simulator.spec, unique, layer_by_layer=layer_by_layer
         )
         for layer, floor in zip(unique, floors):
             time_floor += model.multiplicity(layer) * floor
     else:
         pairs = layer_bounds_batch(
-            simulator,
-            unique,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
+            simulator, unique, layer_by_layer=layer_by_layer
         )
         for layer, (t, e) in zip(unique, pairs):
             count = model.multiplicity(layer)
@@ -231,7 +216,6 @@ def frontier_bounds(
     objective: str,
     *,
     layer_by_layer: bool = False,
-    vectorize: bool | None = None,
 ) -> list[float]:
     """:func:`objective_lower_bound` over many ``(simulator, model)``
     pairs, grid-batched.
@@ -253,25 +237,13 @@ def frontier_bounds(
     cannot depend on whether the frontier was batched.
     """
     pairs = list(pairs)
-    if vectorize is None:
-        from ..core.batch import default_vectorize
-
-        vectorize = default_vectorize()
 
     def per_pair(simulator, model):
         return objective_lower_bound(
-            simulator,
-            model,
-            objective,
-            layer_by_layer=layer_by_layer,
-            vectorize=vectorize,
+            simulator, model, objective, layer_by_layer=layer_by_layer
         )
 
-    if (
-        not vectorize
-        or objective == "static_power"
-        or len(pairs) < 2
-    ):
+    if objective == "static_power" or len(pairs) < 2:
         return [per_pair(simulator, model) for simulator, model in pairs]
     if objective not in ("execution_time", "energy", "edp"):
         raise ConfigError(

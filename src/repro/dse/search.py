@@ -289,7 +289,6 @@ class SearchEngine:
         simulator_factory: Callable[[dict], Simulator] | None = None,
         runner: SweepRunner | None = None,
         layer_by_layer: bool = False,
-        vectorize: bool | None = None,
         exec_plan: str | None = None,
         budget: Any = None,
     ):
@@ -311,16 +310,11 @@ class SearchEngine:
         #: only when it built one itself.
         self._owns_runner = runner is None
         self.runner = (
-            SweepRunner(vectorize=vectorize, exec_plan=exec_plan, budget=budget)
+            SweepRunner(exec_plan=exec_plan, budget=budget)
             if runner is None
             else runner
         )
         self.layer_by_layer = layer_by_layer
-        #: Per-candidate batched-kernel override carried into every
-        #: :class:`SweepJob` this engine emits (``None``: defer to the
-        #: runner; candidate evaluation stays bit-identical either
-        #: way, so scores and prune decisions cannot depend on it).
-        self.vectorize = vectorize
 
     def close(self) -> None:
         """Release the engine's warm-worker pool (engine-built only).
@@ -434,7 +428,6 @@ class SearchEngine:
                 simulator=entry.simulator,
                 model=entry.workload if workloads is None else workloads[i],
                 layer_by_layer=self.layer_by_layer,
-                vectorize=self.vectorize,
             )
             for i, entry in enumerate(entries)
         ]
@@ -478,7 +471,6 @@ class SearchEngine:
             entry.workload,
             self.objective,
             layer_by_layer=self.layer_by_layer,
-            vectorize=self.vectorize,
         )
 
     # -- strategies -----------------------------------------------------
@@ -524,7 +516,6 @@ class SearchEngine:
             [(e.simulator, e.workload) for e in entries],
             self.objective,
             layer_by_layer=self.layer_by_layer,
-            vectorize=self.vectorize,
         )
         order = sorted(
             ((bound, e.candidate.index, e) for bound, e in zip(bounds, entries)),

@@ -628,7 +628,6 @@ runner = batch.SweepRunner(
     cache=batch.ResultCache(cache_dir=cache_dir),
     manifest=CampaignManifest(cache_dir),
     progress=progress,
-    vectorize=True,
 )
 with GracefulDrain():
     run_models(default_trio(), runner=runner)

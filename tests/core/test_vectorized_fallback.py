@@ -16,7 +16,13 @@ import pytest
 
 from crashkit import CrashingSimulator
 from repro.core import batch
-from repro.core.batch import NullCache, ResultCache, SweepJob, SweepRunner
+from repro.core.batch import (
+    CacheStats,
+    NullCache,
+    ResultCache,
+    SweepJob,
+    SweepRunner,
+)
 from repro.core.campaign import CampaignManifest
 from repro.core.layer import ConvLayer, LayerSet
 from repro.core.metrics import NetworkEnergy
@@ -93,22 +99,18 @@ def test_subclassed_simulator_is_a_coverage_gap():
 
 
 def test_runner_records_fallback_and_matches_scalar():
-    """An uncovered machine in a vectorized campaign: the job runs on
-    the scalar oracle, the reason lands in ``vectorized_fallbacks``
-    and ``campaign_report()``, and results equal a scalar campaign."""
+    """An uncovered machine in a campaign: the job runs on the scalar
+    oracle, the reason lands in ``vectorized_fallbacks`` and
+    ``campaign_report()``, and results equal the oracle's."""
     models = _models(2)
     custom = _custom_simulator()
     stock = spacx_simulator()
     jobs = [SweepJob(sim, m) for m in models for sim in (custom, stock)]
 
-    fast_runner = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=True
-    )
+    fast_runner = SweepRunner(max_workers=1, cache=NullCache(), manifest=False)
     fast = fast_runner.run(jobs)
-    scalar = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=False
-    ).run([SweepJob(sim, m) for m in models for sim in (custom, stock)])
-    assert _digest(fast) == _digest(scalar)
+    oracle = [job.simulator.simulate_model(job.model) for job in jobs]
+    assert _digest(fast) == _digest(oracle)
 
     fallbacks = fast_runner.vectorized_fallbacks
     assert [index for index, *_ in fallbacks] == [0, 2]
@@ -120,33 +122,46 @@ def test_runner_records_fallback_and_matches_scalar():
     assert "vectorized fallback" in report and "FlatNetworkEnergy" in report
 
 
-def test_per_job_override_disables_kernel_without_fallback_record():
-    """``SweepJob.vectorize=False`` is a choice, not a coverage gap."""
-    models = _models(1)
-    runner = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=True
-    )
-    chosen = runner.run(
-        [SweepJob(spacx_simulator(), models[0], vectorize=False)]
-    )
-    assert not runner.vectorized_fallbacks
-    scalar = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=False
-    ).run([SweepJob(spacx_simulator(), models[0])])
-    assert _digest(chosen) == _digest(scalar)
+def test_merged_loop_contract_for_gap_and_stock_machines():
+    """One loop serves both routes: a repeated-shape model run twice
+    through one cache has the same hit/miss/put accounting on a
+    coverage-gap machine as on a stock one, equals the oracle, and
+    records the gap once per gap job -- also on the all-hit rerun."""
+    model = _models(1)[0]  # three layers, two unique shapes
+    oracle_digests = {}
+    stats = {}
+    for name, simulator in (
+        ("gap", _custom_simulator()),
+        ("stock", spacx_simulator()),
+    ):
+        oracle_digests[name] = _digest([simulator.simulate_model(model)])
+        cache = ResultCache()
+        runner = SweepRunner(
+            max_workers=1, cache=cache, manifest=False, exec_plan="serial"
+        )
+        for _ in range(2):
+            [result] = runner.run([SweepJob(simulator, model)])
+            assert _digest([result]) == oracle_digests[name]
+            fallbacks = runner.vectorized_fallbacks
+            if name == "gap":
+                assert len(fallbacks) == 1
+                assert "FlatNetworkEnergy" in fallbacks[0][3]
+            else:
+                assert not fallbacks
+        stats[name] = cache.stats
+    assert stats["gap"] == stats["stock"]
+    assert stats["stock"] == CacheStats(hits=2, misses=2, puts=2)
 
 
 # ----------------------------------------------------------------------
-# Composition: pool x vectorize x crash injection x resume
+# Composition: pool x kernel x crash injection x resume
 # ----------------------------------------------------------------------
 def test_pooled_vectorized_campaign_crash_resume_identical(tmp_path):
-    """A pooled vectorized campaign with a crashing job resumes to the
-    exact results of an uninterrupted scalar campaign."""
+    """A pooled campaign with a crashing job resumes to the exact
+    results of the scalar oracle."""
     models = _models(3)
     stock = spacx_simulator()
-    clean = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=False
-    ).run([SweepJob(stock, m) for m in models])
+    clean = [stock.simulate_model(m) for m in models]
 
     cache_dir = tmp_path / "campaign"
     first = SweepRunner(
@@ -154,7 +169,6 @@ def test_pooled_vectorized_campaign_crash_resume_identical(tmp_path):
         cache=ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
         on_error="skip",
-        vectorize=True,
     )
     broken = [
         SweepJob(stock, models[0]),
@@ -169,7 +183,6 @@ def test_pooled_vectorized_campaign_crash_resume_identical(tmp_path):
         max_workers=2,
         cache=ResultCache(cache_dir=cache_dir),
         manifest=CampaignManifest(cache_dir),
-        vectorize=True,
     )
     resumed = second.run(
         [SweepJob(stock, m) for m in models], resume=True
@@ -193,11 +206,8 @@ def test_crashing_proxy_is_itself_a_coverage_gap(tmp_path):
         manifest=False,
         retries=2,
         backoff_s=0.01,
-        vectorize=True,
     )
     [result] = runner.run([SweepJob(flaky, _models(1)[0])])
-    [scalar] = SweepRunner(
-        max_workers=1, cache=NullCache(), manifest=False, vectorize=False
-    ).run([SweepJob(stock, _models(1)[0])])
+    scalar = stock.simulate_model(_models(1)[0])
     assert _digest([result]) == _digest([scalar])
     assert runner.stats[0].attempts == 2

@@ -12,7 +12,8 @@ Coverage map:
   simulators -- the paper's full evaluation surface;
 * the golden-figure configurations (the Fig. 15/16 trio and the
   SPACX granularity grid of the ablation figures);
-* full-sweep digest equality with the kernel toggled off vs on;
+* full-sweep digest equality between the sweep engine and the scalar
+  oracle;
 * hypothesis-randomised shapes x SPACX configs, including invariant
   audit verdict parity;
 * the exactness machinery's edge lanes: a batch that fails the 2**53
@@ -50,11 +51,7 @@ from repro.core import batch
 from repro.core.invariants import audit_layer_result
 from repro.core.layer import ConvLayer
 from repro.core.simulator import Simulator
-from repro.core.vectorized import (
-    coverage_gap,
-    simulate_layers_vectorized,
-    simulate_model_vectorized,
-)
+from repro.core.vectorized import coverage_gap, simulate_layers_vectorized
 from repro.errors import ReproWarning
 from repro.experiments import default_trio, run_models
 from repro.models.zoo import get_model
@@ -128,7 +125,9 @@ def test_golden_trio_models_identical():
     for simulator in default_trio():
         for model in ("ResNet-50", "MobileNetV2"):
             layers = get_model(model)
-            fast = simulate_model_vectorized(simulator, layers)
+            fast = batch.simulate_model_cached(
+                simulator, layers, cache=batch.NullCache()
+            )
             slow = simulator.simulate_model(layers)
             assert json.dumps(
                 model_result_to_dict(fast), sort_keys=True
@@ -173,16 +172,19 @@ def _digest(results) -> str:
     return hashlib.sha256(canonical_json.encode()).hexdigest()
 
 
-def test_full_sweep_digest_unchanged_by_vectorize_toggle():
-    """The pinned evaluation sweep is invariant under the fast path."""
-    scalar = run_models(
-        default_trio(),
-        runner=batch.SweepRunner(cache=batch.NullCache(), vectorize=False),
-    )
+def test_full_sweep_digest_matches_scalar_oracle():
+    """The pinned evaluation sweep equals the scalar oracle's."""
     fast = run_models(
-        default_trio(),
-        runner=batch.SweepRunner(cache=batch.NullCache(), vectorize=True),
+        default_trio(), runner=batch.SweepRunner(cache=batch.NullCache())
     )
+    trio = {simulator.spec.name: simulator for simulator in default_trio()}
+    scalar = {
+        model: {
+            accelerator: trio[accelerator].simulate_model(get_model(model))
+            for accelerator in per_accelerator
+        }
+        for model, per_accelerator in fast.items()
+    }
     assert _digest(scalar) == _digest(fast)
 
 

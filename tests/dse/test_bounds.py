@@ -155,11 +155,20 @@ class TestFrontierBounds:
         for bound, (simulator, model) in zip(batched, pairs):
             assert bound == objective_lower_bound(simulator, model, objective)
 
-    def test_matches_with_vectorize_off(self, machines, workloads):
+    def test_matches_scalar_layer_bounds(self, machines, workloads):
+        """Repeated pairs bound to the scalar per-layer helper's
+        accumulation, bit for bit."""
         pairs = [(machines["spacx"], w) for w in workloads] * 2
-        off = frontier_bounds(pairs, "edp", vectorize=False)
-        on = frontier_bounds(pairs, "edp", vectorize=True)
-        assert off == on
+        expected = []
+        for simulator, model in pairs:
+            time_floor = energy_floor = 0.0
+            for layer in model.unique_layers:
+                count = model.multiplicity(layer)
+                t, e = layer_bounds(simulator, layer)
+                time_floor += count * t
+                energy_floor += count * e
+            expected.append(time_floor * energy_floor)
+        assert frontier_bounds(pairs, "edp") == expected
 
     def test_layer_by_layer_mode(self, machines, workloads):
         pairs = self._pairs(machines, workloads)

@@ -3,7 +3,7 @@ validation modes and accounting."""
 
 import pytest
 
-from repro.core.batch import NullCache, SweepJob, SweepRunner
+from repro.core.batch import NullCache, ResultCache, SweepJob, SweepRunner
 from repro.core.metrics import LayerResult
 from repro.dse import (
     PRESETS,
@@ -313,12 +313,26 @@ class TestScorer:
             )
             assert _score_hex(score) == _object_path_score(entry, fresh)
 
-    def test_built_object_lanes_score_identically(self):
+    def test_built_object_lanes_score_identically(self, tmp_path):
+        # Warm disk-cache hits are built objects: a first search fills
+        # the disk tier, a second one (empty memory tier) replays it.
         lazy_result, _ = _scored_outputs(
-            _engine(validation="physics", objective="edp")
+            _engine(
+                validation="physics",
+                objective="edp",
+                runner=SweepRunner(
+                    cache=ResultCache(cache_dir=tmp_path), manifest=False
+                ),
+            )
         )
         result, scored = _scored_outputs(
-            _engine(validation="physics", objective="edp", vectorize=False)
+            _engine(
+                validation="physics",
+                objective="edp",
+                runner=SweepRunner(
+                    cache=ResultCache(cache_dir=tmp_path), manifest=False
+                ),
+            )
         )
         assert all(
             type(r) is LayerResult and "_lane" not in r.__dict__

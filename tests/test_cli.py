@@ -57,6 +57,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fc6" in out
 
+    def test_run_prints_the_scalar_oracle(self, capsys, restore_sweep_defaults):
+        """``repro run`` prints exactly the metric lines of the scalar
+        oracle's result for the same (model, machine) pair."""
+        from repro.cli import _print_model_result
+        from repro.models.zoo import get_model
+        from repro.spacx.architecture import spacx_simulator
+
+        code = main(
+            [
+                "--no-cache",
+                "run",
+                "--model",
+                "VGG-16",
+                "--machine",
+                "spacx",
+                "--per-layer",
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        # The [sweep] line carries wall-clock timing.
+        printed = [line for line in printed if "[sweep]" not in line]
+        oracle = spacx_simulator().simulate_model(get_model("VGG-16"))
+        _print_model_result(oracle, per_layer=True)
+        assert printed == capsys.readouterr().out.splitlines()
+
     def test_tables(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
