@@ -96,7 +96,15 @@ def _canonical(results) -> str:
 
 def _per_attempt_worker(payload: bytes, conn) -> None:
     """Child body: run one pickled job, send its result back."""
-    conn.send(batch._execute_job(pickle.loads(payload)))
+    job = pickle.loads(payload)
+    conn.send(
+        batch.simulate_model_cached(
+            job.simulator,
+            job.model,
+            layer_by_layer=job.layer_by_layer,
+            cache=batch.NullCache(),
+        )
+    )
     conn.close()
 
 

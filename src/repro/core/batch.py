@@ -110,6 +110,9 @@ _CRASH_KINDS = frozenset(
 #: Valid campaign execution plans (see :func:`default_exec_plan`).
 _EXEC_PLANS = ("auto", "pool", "serial")
 
+#: :attr:`JobFailure.phase` of each :attr:`JobStats.mode` that differs.
+_PHASES = {"pool": "parallel", "resumed": "serial"}
+
 #: Upper bound on (machines x union shapes) lanes evaluated per grid
 #: kernel launch.  Beyond it the machine axis is chunked: each float64
 #: grid column is ``lanes * 8`` bytes and the kernel holds a few dozen
@@ -217,7 +220,12 @@ def simulator_fingerprint(simulator: Simulator) -> str:
     The spec alone is *not* enough: e.g. the moderate and aggressive
     photonic parameter sets share one :class:`AcceleratorSpec` and
     differ only in the attached energy models, so the fingerprint
-    folds in the full state of both energy models as well.
+    folds in the full state of both energy models as well.  A
+    :class:`Simulator` subclass may override how layers are simulated,
+    so its exact type is folded in too; the stock type adds nothing,
+    which keeps stock keys (and on-disk caches) unchanged.  A wrapper
+    that is not a ``Simulator`` (a fault-injection proxy forwarding to
+    a stock machine) keys as the machine it forwards to.
     """
     parts = (
         id(simulator.spec),
@@ -227,16 +235,16 @@ def simulator_fingerprint(simulator: Simulator) -> str:
     entry = _FINGERPRINT_MEMO.get(simulator)
     if entry is not None and entry[0] == parts:
         return entry[1]
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "spec": _jsonable(simulator.spec),
-            "compute_energy": _object_state(simulator.compute_energy),
-            "network_energy": _object_state(simulator.network_energy),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    state = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "spec": _jsonable(simulator.spec),
+        "compute_energy": _object_state(simulator.compute_energy),
+        "network_energy": _object_state(simulator.network_energy),
+    }
+    kind = type(simulator)
+    if kind is not Simulator and isinstance(simulator, Simulator):
+        state["type"] = f"{kind.__module__}.{kind.__qualname__}"
+    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
     fingerprint = hashlib.sha256(payload.encode()).hexdigest()
     try:
         _FINGERPRINT_MEMO[simulator] = (parts, fingerprint)
@@ -266,7 +274,8 @@ _MODEL_STRUCT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _model_structure(model: LayerSet) -> tuple:
-    """``(unique layers, their shape keys, occurrence -> unique index)``.
+    """``(unique layers, their shape keys, occurrence -> unique index,
+    shape -> unique layer)``.
 
     ``unique`` holds the *first occurrence* of each distinct shape in
     network order (the object whose name a fresh simulation would
@@ -290,7 +299,9 @@ def _model_structure(model: LayerSet) -> tuple:
                 unique.append(layer)
                 shapes.append(shape)
             append_occ(i)
-        _MODEL_STRUCT[model] = entry = (unique, shapes, occ)
+        _MODEL_STRUCT[model] = entry = (
+            unique, shapes, occ, dict(zip(shapes, unique))
+        )
     return entry
 
 
@@ -656,6 +667,143 @@ def simulate_layer_cached(
     return result
 
 
+def _probe(
+    cache: "ResultCache | NullCache",
+    fingerprint: str | None,
+    need: dict,
+    layer_by_layer: bool,
+) -> tuple[dict, dict]:
+    """Look every ``shape -> layer`` of ``need`` up in ``cache``.
+
+    Returns ``(hits, misses)``: ``shape -> cached lane`` and ``shape ->
+    cache key``.  For the concrete :class:`ResultCache` the common
+    "already in memory" case is one dict probe instead of a method
+    call (the counters mirror ``ResultCache.get``); a
+    :class:`NullCache` counts its misses in bulk and its misses carry
+    no key (``fingerprint`` may then be ``None``), since it never
+    stores.  Any other cache object goes through its ``get`` untouched.
+    """
+    if type(cache) is NullCache:
+        cache._misses += len(need)
+        return {}, dict.fromkeys(need)
+    hits: dict = {}
+    misses: dict = {}
+    memo_get = _KEY_MEMO.get
+    cache_get = cache.get
+    memory_get = cache._memory.get if type(cache) is ResultCache else None
+    for shape, layer in need.items():
+        key = memo_get((fingerprint, shape, layer_by_layer))
+        if key is None:
+            key = layer_cache_key(fingerprint, layer, layer_by_layer)
+        if memory_get is not None and (cached := memory_get(key)) is not None:
+            cache._hits += 1
+            if cache._lru_active:
+                cache._memory.move_to_end(key)
+        else:
+            cached = cache_get(key)
+        if cached is None:
+            misses[shape] = key
+        else:
+            hits[shape] = cached
+    return hits, misses
+
+
+def _stitch(
+    spec: AcceleratorSpec,
+    model: LayerSet,
+    lanes: list,
+    rebind: "Iterable[int] | None" = None,
+    marked: bool | None = None,
+) -> ModelResult:
+    """A model's result from one lane per unique shape (in place).
+
+    Rebinds the slots ``rebind`` names (``None``: every slot whose name
+    differs) to the model's own layers, expands them to every layer
+    occurrence, and sets the model-level pre-audit marker when every
+    lane carries the kernel's per-layer marker for this exact spec
+    object -- ``audit_model_result`` then skips the per-occurrence
+    walk.  ``marked`` passes a verdict the caller already knows.
+    """
+    unique, _, occ, _ = _model_structure(model)
+    for i in range(len(lanes)) if rebind is None else rebind:
+        lanes[i] = _rebind_layer(lanes[i], unique[i])
+    if marked is None:
+        marked = bool(lanes) and all(
+            lane.__dict__.get(_PREAUDIT_ATTR) is spec for lane in lanes
+        )
+    result = ModelResult(accelerator=spec.name, model=model.name)
+    result.layers.extend(map(lanes.__getitem__, occ))
+    if marked:
+        result.__dict__[_PREAUDIT_ATTR] = spec
+    return result
+
+
+def _resolve_model(
+    simulator: Simulator,
+    model: LayerSet,
+    layer_by_layer: bool,
+    cache: "ResultCache | NullCache",
+    fingerprint: str | None = None,
+    on_fallback: Callable[[str], None] | None = None,
+) -> tuple:
+    """One model through the cache, without writing to it.
+
+    Returns ``(result, hits, misses, fresh)``: ``fresh`` pairs the
+    cache key of every miss with the lane computed for it (empty for a
+    :class:`NullCache`).  The caller decides whether those lanes enter
+    the cache: :func:`simulate_model_cached` puts them at once, the
+    sweep runner only after the job passed its audit.
+
+    The misses are evaluated as **one batch** through the array kernel
+    (:func:`repro.core.vectorized.simulate_layers_vectorized`), which
+    is bit-identical to the scalar path.  A coverage gap or a
+    whole-batch kernel decline (strict audit bailout) runs them on the
+    scalar oracle instead -- same results, one ``on_fallback(reason)``
+    call; a strict simulator's invariant-dirty lane then raises
+    exactly as the oracle does.
+    """
+    from .vectorized import coverage_gap, simulate_layers_vectorized
+
+    gap = coverage_gap(simulator)
+    if gap is not None and on_fallback is not None:
+        on_fallback(gap)
+    null = type(cache) is NullCache
+    if fingerprint is None and not null:
+        fingerprint = simulator_fingerprint(simulator)
+    _, shapes, _, need = _model_structure(model)
+    found, misses = _probe(cache, fingerprint, need, layer_by_layer)
+    hits = len(found)
+    fresh: list = []
+    if misses:
+        layers = list(map(need.__getitem__, misses))
+        built = None
+        if gap is None:
+            built = simulate_layers_vectorized(
+                simulator, layers, layer_by_layer=layer_by_layer
+            )
+            if built is None and on_fallback is not None:
+                on_fallback(
+                    "kernel declined the batch (strict invariant bailout)"
+                )
+        if built is None:
+            built = [
+                simulator.simulate_layer(layer, layer_by_layer=layer_by_layer)
+                for layer in layers
+            ]
+        found.update(zip(misses, built))
+        if not null:
+            fresh = list(zip(misses.values(), built))
+    # A coverage-gap machine's lanes come from the scalar oracle (or a
+    # foreign cache entry) and never carry the kernel's marker.
+    result = _stitch(
+        simulator.spec,
+        model,
+        list(map(found.__getitem__, shapes)),
+        marked=False if gap is not None else None,
+    )
+    return result, hits, len(misses), fresh
+
+
 def simulate_model_cached(
     simulator: Simulator,
     model: LayerSet,
@@ -670,92 +818,17 @@ def simulate_model_cached(
     Mirrors the plain method exactly: within one model, duplicate
     shapes share one :class:`LayerResult` object carrying the *first*
     occurrence's name, so the output is indistinguishable from an
-    uncached run.
-
-    Every unique shape is resolved against the cache first (one lookup
-    per unique shape, one put per miss); the misses are then evaluated
-    as **one batch** through the array kernel
-    (:func:`repro.core.vectorized.simulate_layers_vectorized`), which is
-    bit-identical to the scalar path.  A coverage gap or a whole-batch
-    kernel decline (strict audit bailout) runs the misses on the scalar
-    oracle instead -- same results, one ``on_fallback(reason)`` call.
+    uncached run.  One lookup per unique shape, the misses evaluated
+    as one kernel batch (see :func:`_resolve_model`), one put per
+    miss.
     """
-    from .vectorized import coverage_gap, simulate_layers_vectorized
-
     if cache is None:
         cache = default_cache()
-    if fingerprint is None:
-        fingerprint = simulator_fingerprint(simulator)
-    gap = coverage_gap(simulator)
-    if gap is not None and on_fallback is not None:
-        on_fallback(gap)
-    result = ModelResult(accelerator=simulator.spec.name, model=model.name)
-    unique, shapes, occ = _model_structure(model)
-    resolved: list[LayerResult | None] = [None] * len(unique)
-    missing_index: list[int] = []
-    missing_keys: list[str] = []
-    memo_get = _KEY_MEMO.get
-    cache_get = cache.get
-    # Memory-tier fast path: for the concrete ResultCache the common
-    # "already in memory" case is answered by one dict probe instead
-    # of a method call (stats stay exact -- the counters below mirror
-    # ``ResultCache.get``); any other cache object goes through its
-    # ``get`` untouched.
-    memory_get = cache._memory.get if type(cache) is ResultCache else None
-    for i, (layer, shape) in enumerate(zip(unique, shapes)):
-        key = memo_get((fingerprint, shape, layer_by_layer))
-        if key is None:
-            key = layer_cache_key(fingerprint, layer, layer_by_layer)
-        if memory_get is not None and (cached := memory_get(key)) is not None:
-            cache._hits += 1
-            if cache._lru_active:
-                cache._memory.move_to_end(key)
-        else:
-            cached = cache_get(key)
-        if cached is None:
-            missing_index.append(i)
-            missing_keys.append(key)
-        else:
-            if cached.layer.name != layer.name:
-                cached = _rebind_layer(cached, layer)
-            resolved[i] = cached
-    if missing_index:
-        built = None
-        if gap is None:
-            built = simulate_layers_vectorized(
-                simulator,
-                [unique[i] for i in missing_index],
-                layer_by_layer=layer_by_layer,
-            )
-            if built is None and on_fallback is not None:
-                on_fallback(
-                    "kernel declined the batch (strict invariant bailout)"
-                )
-        if built is None:
-            # The scalar oracle: a coverage gap, or a strict simulator
-            # with an invariant-dirty lane, whose exact raise it
-            # reproduces (caching whatever completed before it).
-            built = (
-                simulator.simulate_layer(unique[i], layer_by_layer=layer_by_layer)
-                for i in missing_index
-            )
-        cache_put = cache.put
-        for i, key, layer_result in zip(missing_index, missing_keys, built):
-            cache_put(key, layer_result)
-            resolved[i] = layer_result
-    result.layers.extend(map(resolved.__getitem__, occ))
-    if resolved and gap is None:
-        # Model-level pre-audit marker: when every unique layer result
-        # carries the kernel's per-layer marker for this exact spec
-        # object, ``audit_model_result`` can skip the whole
-        # per-occurrence walk.  Any scalar-fallback or foreign-cache
-        # entry breaks the chain and the audit runs in full.
-        spec = simulator.spec
-        for layer_result in resolved:
-            if layer_result.__dict__.get(_PREAUDIT_ATTR) is not spec:
-                break
-        else:
-            result.__dict__[_PREAUDIT_ATTR] = spec
+    result, _, _, fresh = _resolve_model(
+        simulator, model, layer_by_layer, cache, fingerprint, on_fallback
+    )
+    for key, lane in fresh:
+        cache.put(key, lane)
     return result
 
 
@@ -856,16 +929,6 @@ class SweepJobError(RuntimeError):
         self.failure = failure
 
 
-def _execute_job(job: SweepJob) -> ModelResult:
-    """Worker-side job body (must stay module-level for pickling)."""
-    return simulate_model_cached(
-        job.simulator,
-        job.model,
-        layer_by_layer=job.layer_by_layer,
-        cache=NullCache(),
-    )
-
-
 def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
     """Compact single-line tail of an exception's traceback."""
     frames = traceback.extract_tb(exc.__traceback__)[-limit:]
@@ -906,9 +969,13 @@ class SweepRunner:
       turns the first permanent failure into :class:`SweepJobError`,
       while ``on_error="skip"`` keeps going and returns ``None`` in
       the failed slots;
-    * completed results seed the parent cache *as they arrive*, and a
-      :class:`~repro.core.campaign.CampaignManifest` (when attached)
-      is checkpointed per job, so a killed campaign can resume;
+    * every route (grid, serial, pool, resumed replay) finishes a job
+      in one settle step (:meth:`_settle`): audit, then failure record
+      or cache commit, then the per-job
+      :class:`~repro.core.campaign.CampaignManifest` checkpoint.  A
+      job's freshly computed lanes enter the runner's cache only after
+      its audit passed, each key at most once per run, so a killed
+      campaign can resume and a failed job leaves nothing behind;
     * on resume, jobs the manifest already marks done are replayed
       through the (disk) cache -- byte-identical by construction.
     """
@@ -963,11 +1030,6 @@ class SweepRunner:
         self.pool_batch = pool_batch
         if self.pool_batch is not None and self.pool_batch < 1:
             raise ValueError("pool_batch must be >= 1 (or None)")
-        #: ``(job index, accelerator, model, reason)`` records of jobs
-        #: the kernel structurally declined during the last
-        #: :meth:`run` (serial path; surfaced by
-        #: :meth:`campaign_report`).
-        self.vectorized_fallbacks: list[tuple[int, str, str, str]] = []
         #: Campaign execution plan: ``"auto"`` lets the planner grid
         #: every eligible machine family through the array kernel
         #: (:mod:`repro.core.grid`) and send the rest to pooled or
@@ -980,16 +1042,6 @@ class SweepRunner:
                 f"exec_plan must be one of {_EXEC_PLANS}, "
                 f"got {self.exec_plan!r}"
             )
-        #: :class:`PlanDecision` records of the last :meth:`run`.
-        self.plan_decisions: list[PlanDecision] = []
-        #: ``(accelerator, reason)`` records of machines the 2-D grid
-        #: kernel declined during the last :meth:`run`; their jobs were
-        #: re-routed through the per-job path (still exact).
-        self.grid_fallbacks: list[tuple[str, str]] = []
-        #: Total (machine x shape) lanes the grid kernel evaluated /
-        #: machines it served during the last :meth:`run`.
-        self.grid_lanes = 0
-        self.grid_machines = 0
         self._pool = None  # lazily-built repro.core.pool.WorkerPool
         # Guards pool teardown: the campaign service closes runners
         # from HTTP/signal threads while scheduler threads may race
@@ -1002,11 +1054,6 @@ class SweepRunner:
         #: Monotonic task-id source: ids stay unique across runs so a
         #: stale reply can never be mistaken for a live job.
         self._task_counter = 0
-        self.stats: list[JobStats] = []
-        self.failures: list[JobFailure] = []
-        self.used_fallback = False
-        self.fallback_reason: str | None = None
-        self.resumed_jobs = 0
         #: Campaign budget (``None``: :func:`default_budget`; ``False``:
         #: explicitly none, mirroring the ``manifest`` convention).
         if budget is None:
@@ -1021,35 +1068,67 @@ class SweepRunner:
             if retry_quarantined is None
             else bool(retry_quarantined)
         )
-        #: Structured summary of the last :meth:`run` (also built when
-        #: the run raised): see :class:`~repro.core.budget.CampaignOutcome`.
-        self.outcome: "CampaignOutcome | None" = None
-        # Sticky stop state: a budget breach or drain signal stops
-        # *the campaign* -- i.e. the runner's lifetime, which may span
-        # several run() calls (chunked DSE loops, availability phases).
-        self._stop_reason: str | None = None
-        self._stop_diagnosis = ""
-        self._campaign_started: float | None = None
-        self._deadline: float | None = None
-        self._breaker = (
-            CircuitBreaker(
-                self.budget.breaker_window, self.budget.breaker_threshold
-            )
-            if self.budget is not None and self.budget.breaker_window > 0
-            else None
-        )
-        self._budget_failures = 0
-        self._budget_consec = 0
-        #: Worker-killing attempt counts per campaign job index (the
-        #: poison-quarantine counter); reset per run().
-        self._crash_counts: dict[int, int] = {}
         #: Full-jitter backoff RNG; re-seeded deterministically per
         #: run() (from the manifest's campaign id when one is bound).
         self._jitter_rng = random.Random(0)
-        # Time-lost-to-retries accounting for the last run().
+        self._reset(campaign=True)
+
+    def _reset(self, *, campaign: bool) -> None:
+        """Clear the last run's records (every :meth:`run` starts here).
+
+        ``campaign=True`` also ends the campaign: the stop state,
+        deadline anchor, circuit breaker and failure budgets are
+        deliberately sticky across the runs of one campaign (chunked
+        DSE loops, availability phases) and reset only at a campaign
+        boundary (construction, :meth:`begin_campaign`).
+        """
+        if campaign:
+            self._stop_reason: str | None = None
+            self._stop_diagnosis = ""
+            self._campaign_started: float | None = None
+            self._deadline: float | None = None
+            budget = self.budget
+            self._breaker = (
+                CircuitBreaker(budget.breaker_window, budget.breaker_threshold)
+                if budget is not None and budget.breaker_window > 0
+                else None
+            )
+            self._budget_failures = 0
+            self._budget_consec = 0
+            #: Structured summary of the last :meth:`run` (also built
+            #: when the run raised): see
+            #: :class:`~repro.core.budget.CampaignOutcome`.
+            self.outcome: "CampaignOutcome | None" = None
+        self.stats: list[JobStats] = []
+        self.failures: list[JobFailure] = []
+        self.used_fallback = False
+        self.fallback_reason: str | None = None
+        self.resumed_jobs = 0
+        #: ``(job index, accelerator, model, reason)`` records of jobs
+        #: the kernel structurally declined during the last
+        #: :meth:`run` (serial path; surfaced by
+        #: :meth:`campaign_report`).
+        self.vectorized_fallbacks: list[tuple[int, str, str, str]] = []
+        #: :class:`PlanDecision` records of the last :meth:`run`.
+        self.plan_decisions: list[PlanDecision] = []
+        #: ``(accelerator, reason)`` records of machines the 2-D grid
+        #: kernel declined during the last :meth:`run`; their jobs were
+        #: re-routed through the per-job path (still exact).
+        self.grid_fallbacks: list[tuple[str, str]] = []
+        #: Total (machine x shape) lanes the grid kernel evaluated /
+        #: machines it served during the last :meth:`run`.
+        self.grid_lanes = 0
+        self.grid_machines = 0
+        #: Worker-killing attempt counts per campaign job index (the
+        #: poison-quarantine counter).
+        self._crash_counts: dict[int, int] = {}
+        # Time-lost-to-retries accounting.
         self._retry_attempts = 0
         self._retry_wall_s = 0.0
         self._retry_backoff_s = 0.0
+        #: Cache keys :meth:`_settle` committed this run (each at most
+        #: once, however many jobs or workers computed the lane).
+        self._committed: set[str] = set()
 
     # -- shared helpers ------------------------------------------------
     def _backoff_delay(self, attempt: int) -> float:
@@ -1131,42 +1210,15 @@ class SweepRunner:
         self._crash_counts[index] = count
         return count >= budget.poison_threshold
 
-    def _record_failure(
-        self,
-        index: int,
-        job: SweepJob,
-        *,
-        error_type: str,
-        message: str,
-        traceback_summary: str,
-        attempts: int,
-        phase: str,
-        violations: tuple = (),
-        quarantined: bool = False,
-        attempt_wall_times_s: tuple = (),
-        backoff_slept_s: float = 0.0,
-    ) -> JobFailure:
-        failure = JobFailure(
-            index=index,
-            model=job.model.name,
-            accelerator=job.simulator.spec.name,
-            error_type=error_type,
-            message=message,
-            traceback_summary=traceback_summary,
-            attempts=attempts,
-            phase=phase,
-            violations=violations,
-            attempt_wall_times_s=attempt_wall_times_s,
-            backoff_slept_s=backoff_slept_s,
-            quarantined=quarantined,
-        )
+    def _record_failure(self, failure: JobFailure) -> None:
+        """Log, checkpoint and budget one permanent job failure."""
         self.failures.append(failure)
         logger.warning("sweep %s", failure.describe())
         if self.manifest is not None:
-            if quarantined:
-                self.manifest.mark_quarantined(index, failure)
+            if failure.quarantined:
+                self.manifest.mark_quarantined(failure.index, failure)
             else:
-                self.manifest.mark_failed(index, failure)
+                self.manifest.mark_failed(failure.index, failure)
         # Failure-count budgets: stop the campaign (graceful drain, not
         # an abort) once too many jobs failed permanently.
         self._budget_failures += 1
@@ -1191,25 +1243,133 @@ class SweepRunner:
                     f"{self._budget_consec} permanent job failure(s) in "
                     "a row reached the max_consecutive_failures budget",
                 )
-        return failure
 
-    def _finish_job(self, stats: JobStats) -> None:
+    # -- the one end of every job --------------------------------------
+    def _settle(
+        self,
+        index: int,
+        job: SweepJob,
+        mode: str,
+        *,
+        walls: list[float],
+        result: ModelResult | None = None,
+        error: "BaseException | tuple | None" = None,
+        attempts: int = 1,
+        backoff_s: float = 0.0,
+        hits: int = 0,
+        misses: int = 0,
+        fresh: Sequence[tuple[str, LayerResult]] = (),
+    ) -> "ModelResult | float | None":
+        """Finish one attempt of the job at campaign ``index``.
+
+        Every route hands its finished attempts here: ``result`` or
+        ``error`` (an exception, or ``(type name, message, traceback,
+        violation dicts)`` from a pool worker), the attempt count, the
+        wall time of every attempt so far (``walls``, this one last),
+        the backoff slept, the cache hit/miss counts and the ``(key,
+        lane)`` pairs this attempt computed ``fresh``.  ``mode`` is the
+        :attr:`JobStats.mode` of the route.
+
+        A result is audited first.  A violating result, like any error,
+        is failed: audit failures and a strict simulator's own
+        :class:`~repro.errors.InvariantViolationError` are
+        deterministic and never retried; other errors are retried while
+        the budget lasts (returning the backoff in seconds the caller
+        waits before the next attempt), or left pending when the
+        campaign stopped meanwhile (``None``, nothing recorded).  A
+        permanent failure becomes a :class:`JobFailure`.  A result that
+        passed commits its fresh lanes to the runner's cache (each key
+        at most once per run) and is checkpointed done.  Either way the
+        job gets its :class:`JobStats` and progress call, and the
+        accepted result (or ``None``) is returned -- after raising
+        :class:`SweepJobError` for a failure under ``on_error="raise"``.
+        """
+        spec = job.simulator.spec
+        if result is not None and self.audit:
+            started = time.perf_counter()
+            found = audit_model_result(result, spec)
+            walls[-1] += time.perf_counter() - started
+            if found:
+                result = None
+                error = (
+                    "InvariantViolationError",
+                    f"{len(found)} invariant violation(s): "
+                    + "; ".join(v.describe() for v in found[:3]),
+                    "",
+                    tuple(v.to_dict() for v in found),
+                )
+        failure: JobFailure | None = None
+        if result is None:
+            if isinstance(error, BaseException):
+                error_type = type(error).__name__
+                message = str(error)
+                tb = _traceback_summary(error)
+                violations = (
+                    tuple(v.to_dict() for v in error.violations)
+                    if isinstance(error, InvariantViolationError)
+                    else ()
+                )
+            else:
+                error_type, message, tb, violations = error
+            self._note_attempt(False, error_type)
+            quarantined = mode == "pool" and self._poisoned(index, error_type)
+            if (
+                error_type != "InvariantViolationError"
+                and not quarantined
+                and attempts <= self.retries
+            ):
+                if mode != "resumed" and self._check_stop():
+                    # Stopped mid-retry: the job stays pending
+                    # (unrecorded) so a resume re-attempts it.
+                    return None
+                delay = self._backoff_delay(attempts)
+                self._retry_attempts += 1
+                self._retry_wall_s += walls[-1]
+                self._retry_backoff_s += delay
+                return delay
+            failure = JobFailure(
+                index=index,
+                model=job.model.name,
+                accelerator=spec.name,
+                error_type=error_type,
+                message=message,
+                traceback_summary=tb,
+                attempts=attempts,
+                phase=_PHASES.get(mode, mode),
+                violations=violations,
+                attempt_wall_times_s=tuple(walls),
+                backoff_slept_s=backoff_s,
+                quarantined=quarantined,
+            )
+            self._record_failure(failure)
+        else:
+            self._note_attempt(True)
+            committed = self._committed
+            for key, lane in fresh:
+                if key not in committed:
+                    committed.add(key)
+                    self.cache.put(key, lane)
+            if mode != "resumed" and self.manifest is not None:
+                self.manifest.mark_done(index)
+        stats = JobStats(
+            model=job.model.name,
+            accelerator=spec.name,
+            wall_time_s=walls[-1],
+            n_layers=len(result.layers) if result is not None else 0,
+            n_unique_layers=len(job.model.unique_layers),
+            cache_hits=hits,
+            cache_misses=misses,
+            mode=mode,
+            attempts=attempts,
+            failed=result is None,
+            index=index,
+        )
         self.stats.append(stats)
         if self.progress is not None:
             self.progress(stats)
-
-    def _seed_job(self, job: SweepJob, result: ModelResult) -> None:
-        """Warm the parent cache from one completed job's results."""
-        fingerprint = simulator_fingerprint(job.simulator)
-        seen: set[int] = set()
-        for layer_result in result.layers:
-            if id(layer_result) in seen:
-                continue
-            seen.add(id(layer_result))
-            key = layer_cache_key(
-                fingerprint, layer_result.layer, job.layer_by_layer
-            )
-            self.cache.put(key, layer_result)
+        if failure is not None and self.on_error == "raise":
+            raise SweepJobError(failure)
+        return result
 
     # -- serial path ---------------------------------------------------
     def _run_serial(
@@ -1217,29 +1377,17 @@ class SweepRunner:
         jobs: Sequence[SweepJob],
         indexes: Sequence[int] | None = None,
         mode: str = "serial",
-        mark: bool = True,
     ) -> list[ModelResult | None]:
         results: list[ModelResult | None] = []
-        fingerprints: dict[int, str] = {}
-        # Resumed replays are exempt from stop checks: they are cheap
-        # cache reads that materialise already-earned results.
-        check_stop = mode != "resumed"
         for index, job in zip(
             range(len(jobs)) if indexes is None else indexes, jobs
         ):
-            if check_stop and self._check_stop():
+            # Resumed replays are exempt from stop checks: they are
+            # cheap cache reads that materialise already-earned results.
+            if mode != "resumed" and self._check_stop():
                 # Budget/signal stop: remaining jobs stay pending in
                 # the manifest (no record), resumable later.
                 break
-            sim_id = id(job.simulator)
-            if sim_id not in fingerprints:
-                fingerprints[sim_id] = simulator_fingerprint(job.simulator)
-            attempts = 0
-            result: ModelResult | None = None
-            failure: JobFailure | None = None
-            abandoned = False
-            wall_times: list[float] = []
-            backoff_total = 0.0
             recorded: set[str] = set()
 
             def on_fallback(
@@ -1257,111 +1405,44 @@ class SweepRunner:
                     )
                 )
 
+            attempts = 0
+            walls: list[float] = []
+            backoff_total = 0.0
             while True:
                 attempts += 1
-                before = (self.cache.stats.hits, self.cache.stats.misses)
+                result = error = None
+                hits = misses = 0
+                fresh: list = []
                 start = time.perf_counter()
                 try:
-                    result = simulate_model_cached(
+                    result, hits, misses, fresh = _resolve_model(
                         job.simulator,
                         job.model,
-                        layer_by_layer=job.layer_by_layer,
-                        cache=self.cache,
-                        fingerprint=fingerprints[sim_id],
+                        job.layer_by_layer,
+                        self.cache,
                         on_fallback=on_fallback,
                     )
-                    if self.audit:
-                        violations = audit_model_result(
-                            result, job.simulator.spec
-                        )
-                        if violations:
-                            raise InvariantViolationError(
-                                f"{len(violations)} invariant violation(s): "
-                                + "; ".join(
-                                    v.describe() for v in violations[:3]
-                                ),
-                                violations=tuple(violations),
-                            )
-                    elapsed = time.perf_counter() - start
-                    self._note_attempt(True)
-                    break
-                except InvariantViolationError as exc:
-                    # A violating result is deterministic -- retrying
-                    # reproduces it bit for bit -- so the retry budget
-                    # is skipped and the job fails immediately with
-                    # the structured violation payload attached.
-                    elapsed = time.perf_counter() - start
-                    wall_times.append(elapsed)
-                    result = None
-                    self._note_attempt(False, type(exc).__name__)
-                    failure = self._record_failure(
-                        index,
-                        job,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback_summary=_traceback_summary(exc),
-                        attempts=attempts,
-                        phase="serial",
-                        violations=tuple(
-                            v.to_dict() for v in (exc.violations or ())
-                        ),
-                        attempt_wall_times_s=tuple(wall_times),
-                        backoff_slept_s=backoff_total,
-                    )
-                    break
                 except Exception as exc:
-                    elapsed = time.perf_counter() - start
-                    wall_times.append(elapsed)
-                    self._note_attempt(False, type(exc).__name__)
-                    if attempts <= self.retries:
-                        if check_stop and self._check_stop():
-                            # Stopped mid-retry: leave the job pending
-                            # (unrecorded) so a resume re-attempts it.
-                            abandoned = True
-                            break
-                        delay = self._backoff_delay(attempts)
-                        self._retry_attempts += 1
-                        self._retry_wall_s += elapsed
-                        self._retry_backoff_s += delay
-                        backoff_total += delay
-                        time.sleep(delay)
-                        continue
-                    failure = self._record_failure(
-                        index,
-                        job,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback_summary=_traceback_summary(exc),
-                        attempts=attempts,
-                        phase="serial",
-                        attempt_wall_times_s=tuple(wall_times),
-                        backoff_slept_s=backoff_total,
-                    )
-                    break
-            if abandoned:
-                break
-            results.append(result)
-            self._finish_job(
-                JobStats(
-                    model=job.model.name,
-                    accelerator=job.simulator.spec.name,
-                    wall_time_s=elapsed,
-                    n_layers=len(result.layers) if result is not None else 0,
-                    n_unique_layers=len(job.model.unique_layers),
-                    cache_hits=self.cache.stats.hits - before[0],
-                    cache_misses=self.cache.stats.misses - before[1],
-                    mode=mode,
+                    error = exc
+                walls.append(time.perf_counter() - start)
+                outcome = self._settle(
+                    index,
+                    job,
+                    mode,
+                    walls=walls,
+                    result=result,
+                    error=error,
                     attempts=attempts,
-                    failed=result is None,
-                    index=index,
+                    backoff_s=backoff_total,
+                    hits=hits,
+                    misses=misses,
+                    fresh=fresh,
                 )
-            )
-            if result is not None:
-                if mark and self.manifest is not None:
-                    self.manifest.mark_done(index)
-            elif self.on_error == "raise":
-                assert failure is not None
-                raise SweepJobError(failure)
+                if type(outcome) is not float:
+                    break
+                backoff_total += outcome
+                time.sleep(outcome)
+            results.append(outcome)
         return results
 
     # -- execution planner / grid path ---------------------------------
@@ -1535,7 +1616,7 @@ class SweepRunner:
                 continue
             model_id = id(job.model)
             if model_id not in covered:
-                unique, _, _ = _model_structure(job.model)
+                unique = _model_structure(job.model)[0]
                 covered[model_id] = all(
                     grid_mod.lane_covered(layer) for layer in unique
                 )
@@ -1564,11 +1645,12 @@ class SweepRunner:
         the whole (machines x shapes) grid in one kernel launch
         (chunked along the machine axis under :data:`_GRID_LANE_BUDGET`)
         and stitches per-job results from the shared lanes.  The cache
-        is probed once per (machine, union shape) and every miss is put
-        once; per-job ``JobStats`` carry ``mode="grid"`` with zero cache
-        counts (probes are charged at machine granularity to the
-        runner-level cache stats).  Returns the sub-positions of jobs
-        whose machine the kernel declined -- they re-route to the
+        is probed once per (machine, union shape); each job hands the
+        misses it uses to :meth:`_settle`, which commits them once its
+        audit passed.  Per-job ``JobStats`` carry ``mode="grid"`` with
+        zero cache counts (probes are charged at machine granularity to
+        the runner-level cache stats).  Returns the sub-positions of
+        jobs whose machine the kernel declined -- they re-route to the
         classic per-job path, bit-identically.
         """
         from . import grid as grid_mod
@@ -1579,67 +1661,31 @@ class SweepRunner:
         )
         t0 = time.perf_counter()
         cache = self.cache
-        null_fast = type(cache) is NullCache
-        memory_get = cache._memory.get if type(cache) is ResultCache else None
-        cache_get = cache.get
-        memo_get = _KEY_MEMO.get
+        null = type(cache) is NullCache
 
-        # Union shapes across the whole group + per-machine need maps.
-        # Built from per-model shape dicts so the inner merge runs at
-        # C speed (dict.update) instead of one Python loop per lane.
+        # Union shapes across the whole group + per-machine need maps,
+        # merged at C speed (dict.update) from per-model shape dicts.
         union: dict[tuple, ConvLayer] = {}
         needs: list[dict] = []
-        model_shapes: dict[int, dict] = {}
         for simulator, positions in machines:
             need: dict[tuple, ConvLayer] = {}
             for pos in positions:
-                model = sub[pos].model
-                shapes_map = model_shapes.get(id(model))
-                if shapes_map is None:
-                    unique, shapes, _ = _model_structure(model)
-                    model_shapes[id(model)] = shapes_map = dict(
-                        zip(shapes, unique)
-                    )
-                need.update(shapes_map)
+                need.update(_model_structure(sub[pos].model)[3])
             union.update(need)
             needs.append(need)
 
-        # Cache probes: hits resolve now, misses ride the grid.  Same
-        # stat accounting as one pass-1 probe per (machine, shape).
+        # Cache probes: hits resolve now, misses ride the grid.
         resolved: list = []  # per machine: shape -> LayerResult, or None
         missing: list = []  # per machine: shape -> cache key (None: NullCache)
-        probes = 0
-        for (simulator, positions), need in zip(machines, needs):
-            hits: dict = {}
-            miss: dict = {}
-            if null_fast:
-                probes += len(need)
-                miss = dict.fromkeys(need)
-            else:
-                fingerprint = simulator_fingerprint(simulator)
-                for shape, layer in need.items():
-                    ckey = memo_get((fingerprint, shape, layer_by_layer))
-                    if ckey is None:
-                        ckey = layer_cache_key(
-                            fingerprint, layer, layer_by_layer
-                        )
-                    if (
-                        memory_get is not None
-                        and (cached := memory_get(ckey)) is not None
-                    ):
-                        cache._hits += 1
-                        if cache._lru_active:
-                            cache._memory.move_to_end(ckey)
-                    else:
-                        cached = cache_get(ckey)
-                    if cached is None:
-                        miss[shape] = ckey
-                    else:
-                        hits[shape] = cached
+        for (simulator, _), need in zip(machines, needs):
+            hits, miss = _probe(
+                cache,
+                None if null else simulator_fingerprint(simulator),
+                need,
+                layer_by_layer,
+            )
             resolved.append(hits)
             missing.append(miss)
-        if null_fast and probes:
-            cache._misses += probes
 
         # One kernel launch per machine chunk over the union shapes.
         leftover: list[int] = []
@@ -1685,23 +1731,19 @@ class SweepRunner:
                         resolved[j] = None
                         continue
                     self.grid_machines += 1
-                    if null_fast:
-                        # No hits and nothing to put: the machine's
+                    if null:
+                        # No hits and nothing to commit: the machine's
                         # full lane map (a superset of its need) serves
                         # the stitch directly.
                         resolved[j] = lanes
                         pure.add(j)
                     else:
                         hits = resolved[j]
-                        cache_put = cache.put
-                        for shape, ckey in missing[j].items():
-                            lane = lanes[shape]
-                            hits[shape] = lane
-                            cache_put(ckey, lane)
+                        for shape in missing[j]:
+                            hits[shape] = lanes[shape]
 
         # Stitch per-job results from the shared lanes, in submission
-        # order, with the same audit / manifest / failure contract as
-        # the serial loop.
+        # order, and settle each job.
         stitched = [
             (pos, j)
             for j, (simulator, positions) in enumerate(machines)
@@ -1722,8 +1764,8 @@ class SweepRunner:
             )
         setup_elapsed = time.perf_counter() - t0
         share = setup_elapsed / len(stitched) if stitched else 0.0
-        #: Per-model ``[(unique index, layer), ...]`` rebind pattern
-        #: against the union layers -- identical for every pure row.
+        #: Per-model unique slots whose layer name differs from the
+        #: union layer's -- identical for every pure row.
         rebind_plan: dict[int, list] = {}
         #: Pure rows whose every union lane carries the preaudit marker
         #: for its spec (checked once per machine, not once per job).
@@ -1732,102 +1774,46 @@ class SweepRunner:
             if self._check_stop():
                 break
             job = sub[pos]
-            index = todo[pos]
             spec = job.simulator.spec
             start = time.perf_counter()
             lanes = resolved[j]
-            unique, shapes, occ = _model_structure(job.model)
-            result: "ModelResult | None" = ModelResult(
-                accelerator=spec.name, model=job.model.name
-            )
+            unique, shapes, _, _ = _model_structure(job.model)
+            lane_list = list(map(lanes.__getitem__, shapes))
+            fresh: list = []
             if j in pure:
-                # Fast path: every lane's layer is the union layer, so
-                # which slots need rebinding depends on the model only.
-                plan = rebind_plan.get(id(job.model))
-                if plan is None:
-                    plan = [
-                        (i, layer)
-                        for i, (layer, shape) in enumerate(
-                            zip(unique, shapes)
-                        )
+                # Fast path: which slots need rebinding depends on the
+                # model only, the marker verdict on the machine only.
+                rebind = rebind_plan.get(id(job.model))
+                if rebind is None:
+                    rebind = rebind_plan[id(job.model)] = [
+                        i
+                        for i, (layer, shape) in enumerate(zip(unique, shapes))
                         if union[shape].name != layer.name
                     ]
-                    rebind_plan[id(job.model)] = plan
-                lane_list = list(map(lanes.__getitem__, shapes))
-                for i, layer in plan:
-                    lane_list[i] = _rebind_layer(lane_list[i], layer)
                 marked = row_marked.get(j)
                 if marked is None:
-                    marked = all(
+                    marked = row_marked[j] = all(
                         lane.__dict__.get(_PREAUDIT_ATTR) is spec
                         for lane in lanes.values()
                     )
-                    row_marked[j] = marked
+                result = _stitch(spec, job.model, lane_list, rebind, marked)
             else:
-                lane_list = []
-                for layer, shape in zip(unique, shapes):
-                    lane_list.append(_rebind_layer(lanes[shape], layer))
-                marked = all(
-                    lane.__dict__.get(_PREAUDIT_ATTR) is spec
-                    for lane in lane_list
-                )
-            result.layers.extend(map(lane_list.__getitem__, occ))
-            if marked:
-                result.__dict__[_PREAUDIT_ATTR] = spec
-            failure: JobFailure | None = None
-            try:
-                if self.audit:
-                    violations = audit_model_result(result, spec)
-                    if violations:
-                        raise InvariantViolationError(
-                            f"{len(violations)} invariant violation(s): "
-                            + "; ".join(
-                                v.describe() for v in violations[:3]
-                            ),
-                            violations=tuple(violations),
-                        )
-            except InvariantViolationError as exc:
-                elapsed = time.perf_counter() - start + share
-                result = None
-                self._note_attempt(False, type(exc).__name__)
-                failure = self._record_failure(
-                    index,
-                    job,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    traceback_summary=_traceback_summary(exc),
-                    attempts=1,
-                    phase="grid",
-                    violations=tuple(
-                        v.to_dict() for v in (exc.violations or ())
-                    ),
-                    attempt_wall_times_s=(elapsed,),
-                )
-            else:
-                elapsed = time.perf_counter() - start + share
-                self._note_attempt(True)
-            results[pos] = result
-            self._finish_job(
-                JobStats(
-                    model=job.model.name,
-                    accelerator=spec.name,
-                    wall_time_s=elapsed,
-                    n_layers=len(result.layers) if result is not None else 0,
-                    n_unique_layers=len(job.model.unique_layers),
-                    cache_hits=0,
-                    cache_misses=0,
-                    mode="grid",
-                    attempts=1,
-                    failed=result is None,
-                    index=index,
-                )
+                miss = missing[j]
+                if miss:
+                    fresh = [
+                        (miss[shape], lanes[shape])
+                        for shape in shapes
+                        if shape in miss
+                    ]
+                result = _stitch(spec, job.model, lane_list)
+            results[pos] = self._settle(
+                todo[pos],
+                job,
+                "grid",
+                walls=[time.perf_counter() - start + share],
+                result=result,
+                fresh=fresh,
             )
-            if result is not None:
-                if self.manifest is not None:
-                    self.manifest.mark_done(index)
-            elif self.on_error == "raise":
-                assert failure is not None
-                raise SweepJobError(failure)
         return leftover
 
     # -- persistent warm-worker pool path ------------------------------
@@ -1912,25 +1898,7 @@ class SweepRunner:
             self.budget = None if budget is False else budget
         if progress is not None:
             self.progress = None if progress is False else progress
-        self._stop_reason = None
-        self._stop_diagnosis = ""
-        self._campaign_started = None
-        self._deadline = None
-        self._breaker = (
-            CircuitBreaker(
-                self.budget.breaker_window, self.budget.breaker_threshold
-            )
-            if self.budget is not None and self.budget.breaker_window > 0
-            else None
-        )
-        self._budget_failures = 0
-        self._budget_consec = 0
-        self._crash_counts = {}
-        self.outcome = None
-        self.stats = []
-        self.failures = []
-        self.resumed_jobs = 0
-        self.vectorized_fallbacks = []
+        self._reset(campaign=True)
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -1945,12 +1913,14 @@ class SweepRunner:
     ) -> list[ModelResult | None]:
         """Parallel execution over the persistent warm-worker pool.
 
-        Retries with exponential backoff, per-job timeout, RSS kills,
-        poison quarantine, audit-on-arrival, cache seeding, manifest
-        checkpointing and ``on_error``; jobs ship as adaptively-chunked
-        batches to long-lived workers.  Only the job a worker was
-        *executing* when it died or hung is charged a failed attempt;
-        queued batch-mates re-enter the dispatch queue untouched.
+        Retries with exponential backoff, per-job timeout, RSS kills
+        and poison quarantine; every finished attempt is settled on
+        arrival (:meth:`_settle`: audit, cache commit of the lanes the
+        worker computed fresh, manifest checkpoint, ``on_error``).
+        Jobs ship as adaptively-chunked batches to long-lived workers.
+        Only the job a worker was *executing* when it died or hung is
+        charged a failed attempt; queued batch-mates re-enter the
+        dispatch queue untouched.
         """
         from .pool import adaptive_batch_size
 
@@ -1971,71 +1941,30 @@ class SweepRunner:
         #: cannot take batch-mates down with it again.
         solo: set[int] = set()
 
-        def job_stat(
-            pos: int,
-            attempt: int,
-            *,
-            wall: float,
-            result: ModelResult | None = None,
-            hits: int = 0,
-            misses: int = 0,
-        ) -> JobStats:
-            job = jobs[pos]
-            return JobStats(
-                model=job.model.name,
-                accelerator=job.simulator.spec.name,
-                wall_time_s=wall,
-                n_layers=len(result.layers) if result is not None else 0,
-                n_unique_layers=len(job.model.unique_layers),
-                cache_hits=hits,
-                cache_misses=misses,
-                mode="pool",
-                attempts=attempt,
-                failed=result is None,
-                index=indexes[pos],
-            )
-
-        def failed_attempt(
-            task_id: int, error_type: str, text: str, tb: str
-        ) -> JobFailure | None:
-            """One failed attempt: schedule a retry or fail permanently."""
+        def finish(
+            task_id: int, wall: float | None = None, error=None, **outcome
+        ) -> None:
+            """Settle one finished attempt; queue its retry if one is due."""
             pos, attempt, started = active.pop(task_id)
             walls = attempt_walls.setdefault(pos, [])
-            walls.append(time.monotonic() - started)
-            self._note_attempt(False, error_type)
-            if error_type == "MemoryBudgetExceeded":
+            walls.append(time.monotonic() - started if wall is None else wall)
+            if error is not None and error[0] == "MemoryBudgetExceeded":
                 solo.add(pos)
-            quarantine = self._poisoned(indexes[pos], error_type)
-            if not quarantine and attempt <= self.retries:
-                if self._check_stop():
-                    # Draining: the job stays pending (unrecorded) so
-                    # a resume re-attempts it with a fresh budget.
-                    return None
-                delay = self._backoff_delay(attempt)
-                self._retry_attempts += 1
-                self._retry_wall_s += walls[-1]
-                self._retry_backoff_s += delay
-                backoff_spent[pos] = backoff_spent.get(pos, 0.0) + delay
-                pending.append((pos, attempt + 1, time.monotonic() + delay))
-                return None
-            failure = self._record_failure(
+            settled = self._settle(
                 indexes[pos],
                 jobs[pos],
-                error_type=error_type,
-                message=text,
-                traceback_summary=tb,
+                "pool",
+                walls=walls,
+                error=error,
                 attempts=attempt,
-                phase="parallel",
-                quarantined=quarantine,
-                attempt_wall_times_s=tuple(walls),
-                backoff_slept_s=backoff_spent.get(pos, 0.0),
+                backoff_s=backoff_spent.get(pos, 0.0),
+                **outcome,
             )
-            self._finish_job(
-                job_stat(
-                    pos, attempt, wall=time.monotonic() - started
-                )
-            )
-            return failure
+            if type(settled) is float:
+                backoff_spent[pos] = backoff_spent.get(pos, 0.0) + settled
+                pending.append((pos, attempt + 1, time.monotonic() + settled))
+            else:
+                results[pos] = settled
 
         def requeue(task_ids) -> None:
             """Batch-mates that never started: no attempt is charged."""
@@ -2117,114 +2046,47 @@ class SweepRunner:
                 for event in events:
                     kind = event[0]
                     if kind == "ok":
-                        _, task_id, result, hits, misses, elapsed = event
-                        pos, attempt, _ = active.pop(task_id)
-                        job = jobs[pos]
-                        if self.audit:
-                            violations = audit_model_result(
-                                result, job.simulator.spec
-                            )
-                            if violations:
-                                # Deterministic failure: skip the retry
-                                # budget, keep the corrupt result out
-                                # of the cache and the manifest.
-                                self._note_attempt(
-                                    False, "InvariantViolationError"
-                                )
-                                failure = self._record_failure(
-                                    indexes[pos],
-                                    job,
-                                    error_type="InvariantViolationError",
-                                    message=(
-                                        f"{len(violations)} invariant "
-                                        "violation(s): "
-                                        + "; ".join(
-                                            v.describe()
-                                            for v in violations[:3]
-                                        )
-                                    ),
-                                    traceback_summary="",
-                                    attempts=attempt,
-                                    phase="parallel",
-                                    violations=tuple(
-                                        v.to_dict() for v in violations
-                                    ),
-                                )
-                                self._finish_job(
-                                    job_stat(pos, attempt, wall=elapsed)
-                                )
-                                if self.on_error == "raise":
-                                    raise SweepJobError(failure)
-                                continue
-                        self._note_attempt(True)
-                        results[pos] = result
-                        self._seed_job(job, result)
-                        if self.manifest is not None:
-                            self.manifest.mark_done(indexes[pos])
-                        self._finish_job(
-                            job_stat(
-                                pos,
-                                attempt,
-                                wall=elapsed,
-                                result=result,
-                                hits=hits,
-                                misses=misses,
-                            )
+                        _, task_id, result, hits, misses, elapsed, fresh = event
+                        finish(
+                            task_id,
+                            elapsed,
+                            result=result,
+                            hits=hits,
+                            misses=misses,
+                            fresh=fresh,
                         )
-                    elif kind == "err":
-                        _, task_id, error_type, text, tb = event
-                        failure = failed_attempt(task_id, error_type, text, tb)
-                        if failure is not None and self.on_error == "raise":
-                            raise SweepJobError(failure)
-                    elif kind == "crashed":
-                        _, current, queued, exitcode = event
-                        requeue(queued)
-                        if current is not None:
-                            failure = failed_attempt(
-                                current,
-                                "WorkerCrashed",
-                                "worker process died without reporting "
-                                f"(exit code {exitcode})",
-                                "",
-                            )
-                            if (
-                                failure is not None
-                                and self.on_error == "raise"
-                            ):
-                                raise SweepJobError(failure)
+                        continue
+                    if kind == "err":
+                        _, task_id, error_type, text, tb, violations = event
+                        finish(task_id, error=(error_type, text, tb, violations))
+                        continue
+                    # A worker died, hung or breached the memory budget:
+                    # the job it was executing (if any) is charged a
+                    # failed attempt, batch-mates requeue free.
+                    current, queued = event[1], event[2]
+                    requeue(queued)
+                    if current is None:
+                        continue
+                    if kind == "crashed":
+                        error_type = "WorkerCrashed"
+                        message = (
+                            "worker process died without reporting "
+                            f"(exit code {event[3]})"
+                        )
                     elif kind == "timeout":
-                        _, current, queued = event
-                        requeue(queued)
-                        failure = failed_attempt(
-                            current,
-                            "TimeoutError",
+                        error_type = "TimeoutError"
+                        message = (
                             f"job attempt exceeded the {self.timeout_s}s "
-                            "timeout and was terminated",
-                            "",
+                            "timeout and was terminated"
                         )
-                        if failure is not None and self.on_error == "raise":
-                            raise SweepJobError(failure)
-                    elif kind == "oom":
-                        # The parent RSS watchdog killed a worker over
-                        # the memory budget: the executing job becomes
-                        # a structured, retryable failure instead of a
-                        # host-level OOM kill; batch-mates requeue free.
-                        _, current, queued, rss_mb = event
-                        requeue(queued)
-                        if current is not None:
-                            failure = failed_attempt(
-                                current,
-                                "MemoryBudgetExceeded",
-                                f"worker resident set {rss_mb:.0f} MB "
-                                f"exceeded the {pool.rss_limit_mb:.0f} MB "
-                                "memory budget; worker terminated",
-                                "",
-                            )
-                            if (
-                                failure is not None
-                                and self.on_error == "raise"
-                            ):
-                                raise SweepJobError(failure)
+                    else:  # "oom": the parent RSS watchdog's kill
+                        error_type = "MemoryBudgetExceeded"
+                        message = (
+                            f"worker resident set {event[3]:.0f} MB "
+                            f"exceeded the {pool.rss_limit_mb:.0f} MB "
+                            "memory budget; worker terminated"
+                        )
+                    finish(current, error=(error_type, message, "", ()))
         finally:
             if active or pool.inflight_jobs:
                 # Abnormal exit (structural failure or SweepJobError)
@@ -2255,20 +2117,7 @@ class SweepRunner:
             self._campaign_started = run_started
             if self.budget is not None and self.budget.deadline_s is not None:
                 self._deadline = run_started + self.budget.deadline_s
-        self.stats = []
-        self.failures = []
-        self.used_fallback = False
-        self.fallback_reason = None
-        self.resumed_jobs = 0
-        self.vectorized_fallbacks = []
-        self.plan_decisions = []
-        self.grid_fallbacks = []
-        self.grid_lanes = 0
-        self.grid_machines = 0
-        self._crash_counts = {}
-        self._retry_attempts = 0
-        self._retry_wall_s = 0.0
-        self._retry_backoff_s = 0.0
+        self._reset(campaign=False)
         resume = self.resume if resume is None else resume
         done_indexes: list[int] = []
         quarantined_indexes: set[int] = set()
@@ -2302,7 +2151,6 @@ class SweepRunner:
                     [jobs[i] for i in done_indexes],
                     indexes=done_indexes,
                     mode="resumed",
-                    mark=False,
                 )
                 for i, result in zip(done_indexes, replayed):
                     results[i] = result

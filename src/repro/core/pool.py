@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -89,13 +87,15 @@ def _warm_fingerprint(simulator, memo: dict) -> str:
     Every job arrives as a fresh unpickled object, so the object-keyed
     memo in :mod:`repro.core.batch` never hits inside a worker.  Specs
     and energy models are frozen (hashable) dataclasses, so their
-    *values* key a worker-lifetime memo instead; anything unhashable
-    falls back to recomputing the hash.
+    *values* (and the simulator's exact type, which the fingerprint
+    also covers) key a worker-lifetime memo instead; anything
+    unhashable falls back to recomputing the hash.
     """
     from .batch import simulator_fingerprint
 
     try:
         key = (
+            type(simulator),
             simulator.spec,
             simulator.compute_energy,
             simulator.network_energy,
@@ -107,16 +107,6 @@ def _warm_fingerprint(simulator, memo: dict) -> str:
         fingerprint = simulator_fingerprint(simulator)
         memo[key] = fingerprint
     return fingerprint
-
-
-def _worker_traceback(exc: BaseException, limit: int = 4) -> str:
-    """Compact single-line tail of an exception's traceback."""
-    frames = traceback.extract_tb(exc.__traceback__)[-limit:]
-    parts = [
-        f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        for frame in frames
-    ]
-    return " <- ".join(reversed(parts)) if parts else ""
 
 
 def _install_rlimit_as(limit_mb) -> None:
@@ -157,7 +147,10 @@ def _pool_worker_main(
 
     * ``("batch", [(task_id, SweepJob), ...])`` -- execute in order,
       streaming one reply per job: ``("ok", task_id, result, hits,
-      misses, elapsed_s)`` or ``("err", task_id, type, message, tb)``.
+      misses, elapsed_s, fresh)`` -- ``fresh`` pairs the cache key of
+      every lane this worker computed (rather than served from its
+      cache or the shared shards) with the lane -- or ``("err",
+      task_id, type, message, tb, violations)``.
     * ``("stop",)`` -- exit cleanly.
 
     A worker that dies without replying is seen by the parent as EOF
@@ -172,7 +165,8 @@ def _pool_worker_main(
         except OSError:  # pragma: no cover - platform-specific
             pass
     _install_rlimit_as(rlimit_as_mb)
-    from .batch import ResultCache, simulate_model_cached
+    from ..errors import InvariantViolationError
+    from .batch import ResultCache, _resolve_model, _traceback_summary
 
     # The campaign's disk tier (when present) is mounted read-only:
     # workers serve warm hits from shared shards, but only the parent
@@ -195,27 +189,27 @@ def _pool_worker_main(
         for task_id, job in message[1]:
             start = time.perf_counter()
             try:
-                fingerprint = _warm_fingerprint(job.simulator, fingerprints)
-                hits_before = cache._hits
-                misses_before = cache._misses
                 # Structural fallbacks are silent here (bit-identical
                 # results either way -- the serial path is where
                 # fallback reasons are surfaced).
-                result = simulate_model_cached(
+                result, hits, misses, fresh = _resolve_model(
                     job.simulator,
                     job.model,
-                    layer_by_layer=job.layer_by_layer,
-                    cache=cache,
-                    fingerprint=fingerprint,
+                    job.layer_by_layer,
+                    cache,
+                    _warm_fingerprint(job.simulator, fingerprints),
                 )
+                for key, lane in fresh:
+                    cache.put(key, lane)
                 result_conn.send(
                     (
                         "ok",
                         task_id,
                         result,
-                        cache._hits - hits_before,
-                        cache._misses - misses_before,
+                        hits,
+                        misses,
                         time.perf_counter() - start,
+                        fresh,
                     )
                 )
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
@@ -234,7 +228,10 @@ def _pool_worker_main(
                             task_id,
                             name,
                             str(exc),
-                            _worker_traceback(exc),
+                            _traceback_summary(exc),
+                            tuple(v.to_dict() for v in exc.violations)
+                            if isinstance(exc, InvariantViolationError)
+                            else (),
                         )
                     )
                 except Exception:
@@ -323,8 +320,9 @@ class WorkerPool:
 
     Event tuples returned by :meth:`poll` / :meth:`expire`:
 
-    * ``("ok", task_id, result, hits, misses, elapsed_s)``
-    * ``("err", task_id, error_type, message, traceback_summary)``
+    * ``("ok", task_id, result, hits, misses, elapsed_s, fresh)``
+    * ``("err", task_id, error_type, message, traceback_summary,
+      violations)``
     * ``("crashed", current_task_id | None, [queued ids], exitcode)``
     * ``("timeout", current_task_id, [queued ids])``
     * ``("oom", current_task_id | None, [queued ids], rss_mb)``
